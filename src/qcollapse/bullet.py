@@ -12,10 +12,8 @@ with ``s = (2 b)^(-1/3)`` and ``E0`` the negated first zero of Ai'.  In the
 well conditioned regardless of how extreme the SI scales are; everything
 physical is recovered by back-scaling.
 
-The Airy function itself is evaluated from scratch: the Maclaurin pair for
-small arguments, the same pair summed in double-double arithmetic in the
-band where plain doubles lose the cancellation, and the standard
-asymptotic expansions beyond.
+Ai and Ai' come from ``scipy.special.airy``; the finite-difference
+eigensolver below is the independent route to the same packet.
 """
 
 from __future__ import annotations
@@ -25,71 +23,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 from scipy.linalg import solve_banded
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 
-# hi/lo double-double splits of Ai(0) = 3^(-2/3)/Gamma(2/3) and
-# -Ai'(0) = 3^(-1/3)/Gamma(1/3)
-_C1_HI, _C1_LO = 0.3550280538878172, 2.05233632436212e-17
-_C2_HI, _C2_LO = 0.2588194037928068, -2.522243111610832e-17
-
-_SERIES_CUT = 4.5  # plain doubles keep ~1e-11 relative accuracy below this
-_ASYMPTOTIC_CUT = 7.5  # asymptotic truncation error ~e^(-2 zeta) < 1e-11 beyond
+_PRIME_DOMAIN = 4.5  # |x| bound of airy_ai_prime: the turning-point region
 
 _EDGE_AMPLITUDE = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# double-double helpers (vectorized; arrays of hi/lo parts)
-# ---------------------------------------------------------------------------
-
-_SPLITTER = 134217729.0  # 2^27 + 1
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def _quick_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ta = _SPLITTER * a
-    ahi = ta - (ta - a)
-    alo = a - ahi
-    tb = _SPLITTER * b
-    bhi = tb - (tb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    e = e + xl + yl
-    return _quick_two_sum(s, e)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    e = e + xh * yl + xl * yh
-    return _quick_two_sum(p, e)
-
-
-def _dd_div_scalar(xh, xl, y):
-    q1 = xh / y
-    p, e = _two_prod(q1, y)
-    rh, rl = _dd_add(xh, xl, -p, -e)
-    return _quick_two_sum(q1, (rh + rl) / y)
 
 
 # ---------------------------------------------------------------------------
@@ -97,149 +39,41 @@ def _dd_div_scalar(xh, xl, y):
 # ---------------------------------------------------------------------------
 
 
-def _maclaurin_double(x: np.ndarray) -> np.ndarray:
-    """c1 f(x) - c2 g(x) in plain doubles; adequate for |x| <= 4.5."""
-    x3 = x**3
-    f = np.ones_like(x)
-    tf = np.ones_like(x)
-    g = x.copy()
-    tg = x.copy()
-    for k in range(48):
-        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        f = f + tf
-        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        g = g + tg
-    return _C1_HI * f - _C2_HI * g
-
-
-def _maclaurin_dd(x: np.ndarray) -> np.ndarray:
-    """Same series summed in double-double; the two exponentially growing
-    halves cancel to an exponentially small value, so the working precision
-    has to carry the headroom."""
-    x3h, x3l = _two_prod(x, x)
-    x3h, x3l = _dd_mul(x3h, x3l, x, np.zeros_like(x))
-    zeros = np.zeros_like(x)
-
-    fh, fl = np.full_like(x, _C1_HI), np.full_like(x, _C1_LO)
-    tfh, tfl = fh.copy(), fl.copy()
-    gh, gl = _dd_mul(np.full_like(x, _C2_HI), np.full_like(x, _C2_LO), x, zeros)
-    tgh, tgl = gh.copy(), gl.copy()
-    for k in range(80):
-        tfh, tfl = _dd_mul(tfh, tfl, x3h, x3l)
-        tfh, tfl = _dd_div_scalar(tfh, tfl, float((3 * k + 2) * (3 * k + 3)))
-        fh, fl = _dd_add(fh, fl, tfh, tfl)
-        tgh, tgl = _dd_mul(tgh, tgl, x3h, x3l)
-        tgh, tgl = _dd_div_scalar(tgh, tgl, float((3 * k + 3) * (3 * k + 4)))
-        gh, gl = _dd_add(gh, gl, tgh, tgl)
-    rh, rl = _dd_add(fh, fl, -gh, -gl)
-    return rh + rl
-
-
-def _asymptotic_positive(x: np.ndarray) -> np.ndarray:
-    """Ai(x) ~ e^(-zeta) / (2 sqrt(pi) x^(1/4)) * sum (-1)^k u_k zeta^(-k)."""
-    zeta = (2.0 / 3.0) * x**1.5
-    s = np.ones_like(x)
-    term = np.ones_like(x)
-    prev = np.full_like(x, np.inf)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(1, 41):
-        term = term * (-(6 * k - 5) * (6 * k - 1) / (72.0 * k)) / zeta
-        mag = np.abs(term)
-        active &= mag < prev  # stop at the smallest term, per element
-        s = np.where(active, s + term, s)
-        prev = mag
-    with np.errstate(over="ignore"):
-        pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x**0.25)
-    return pref * s
-
-
-def _asymptotic_negative(x: np.ndarray) -> np.ndarray:
-    """Oscillatory expansion for large negative arguments."""
-    z = -x
-    zeta = (2.0 / 3.0) * z**1.5
-    even = np.ones_like(z)
-    odd = np.zeros_like(z)
-    v = np.ones_like(z)
-    prev = np.full_like(z, np.inf)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, 41):
-        v = v * ((6 * k - 5) * (6 * k - 1) / (72.0 * k)) / zeta
-        mag = np.abs(v)
-        active &= mag < prev
-        sign = -1.0 if (k // 2) % 2 else 1.0
-        if k % 2:
-            odd = np.where(active, odd + sign * v, odd)
-        else:
-            even = np.where(active, even + sign * v, even)
-        prev = mag
-    angle = zeta - math.pi / 4.0
-    return (np.cos(angle) * even + np.sin(angle) * odd) / (
-        math.sqrt(math.pi) * z**0.25
-    )
+def _airy_pair(x) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Ai and Ai' of a scalar or array, plus whether the input was a scalar."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("argument must be finite")
+    ai, aip, _, _ = special.airy(arr)
+    return ai, aip, arr.ndim == 0
 
 
 def airy_ai(x):
-    """The Airy function Ai, accurate to ~1e-10 relative for |x| <= 10.
+    """The Airy function Ai for scalars (returns float) or arrays.
 
-    Accepts scalars or arrays.  Underflows smoothly to 0 for large positive
-    arguments.
+    Underflows smoothly to 0 for large positive arguments.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    xf = np.atleast_1d(arr).ravel()
-    if not np.all(np.isfinite(xf)):
-        raise ValueError("argument must be finite")
-    out = np.empty_like(xf)
-    ax = np.abs(xf)
-    m_small = ax <= _SERIES_CUT
-    m_mid = ~m_small & (ax < _ASYMPTOTIC_CUT)
-    m_pos = xf >= _ASYMPTOTIC_CUT
-    m_neg = xf <= -_ASYMPTOTIC_CUT
-    if m_small.any():
-        out[m_small] = _maclaurin_double(xf[m_small])
-    if m_mid.any():
-        out[m_mid] = _maclaurin_dd(xf[m_mid])
-    if m_pos.any():
-        out[m_pos] = _asymptotic_positive(xf[m_pos])
-    if m_neg.any():
-        out[m_neg] = _asymptotic_negative(xf[m_neg])
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    ai, _, scalar = _airy_pair(x)
+    return float(ai) if scalar else ai
 
 
 def airy_ai_prime(x):
-    """Derivative Ai'(x) from the differentiated Maclaurin pair.
+    """Derivative Ai'(x), for scalars (returns float) or arrays.
 
-    Valid on the series domain |x| <= 4.5, which covers the turning-point
-    region where the ground level lives.
+    Restricted to |x| <= 4.5, which covers the turning-point region where
+    the ground level lives.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    xf = np.atleast_1d(arr).ravel().astype(float)
-    if np.any(np.abs(xf) > _SERIES_CUT):
-        raise ValueError(f"airy_ai_prime is implemented for |x| <= {_SERIES_CUT}")
-    x3 = xf**3
-    fp = 0.5 * xf**2
-    tf = fp.copy()
-    gp = np.ones_like(xf)
-    tg = np.ones_like(xf)
-    for k in range(1, 48):
-        tf = tf * x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
-        fp = fp + tf
-    for k in range(48):
-        tg = tg * x3 / ((3 * k + 1) * (3 * k + 3))
-        gp = gp + tg
-    out = _C1_HI * fp - _C2_HI * gp
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    if np.any(np.abs(arr) > _PRIME_DOMAIN):
+        raise ValueError(f"airy_ai_prime is implemented for |x| <= {_PRIME_DOMAIN}")
+    _, aip, scalar = _airy_pair(arr)
+    return float(aip) if scalar else aip
 
 
 @lru_cache(maxsize=1)
 def vee_ground_level() -> float:
     """Ground level of -chi'' + |zeta| chi = E chi: the negated first zero
-    of Ai', located by root finding on the series implementation."""
+    of Ai', located by root finding on :func:`airy_ai_prime`."""
     return float(-optimize.brentq(airy_ai_prime, -1.2, -0.9, xtol=1e-15))
 
 

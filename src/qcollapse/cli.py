@@ -140,19 +140,22 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("environment sizes must be >= 1")
     if cfg.g <= 0:
         raise ConfigError("g must be positive")
-    if cfg.check_interval <= 0 or cfg.t_max <= 0:
-        raise ConfigError("check_interval and t_max must be positive")
-    if not cfg.threshold > 0:
-        raise ConfigError("threshold must be positive (use 'inf' to disable)")
+    if not (cfg.t_max > 0 and cfg.fd_step > 0 and cfg.accel_delta > 0):
+        raise ConfigError("t_max, fd_step and accel_delta must be positive")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    for name in ("mass_kg", "density_kg_m3", "barrier_j", "line_density_per_m"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
+    # the library's own parameter objects check the rest
+    try:
+        _policy(cfg)
+        _scan_settings(cfg)
+        _bullet_params(cfg)
+        _grid_spec(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -184,6 +187,21 @@ def _scan_settings(cfg: RunConfig) -> collapse.ScanSettings:
     return collapse.ScanSettings(
         n_theta=cfg.scan_theta, n_phi=cfg.scan_phi, accel_delta=cfg.accel_delta
     )
+
+
+def _bullet_params(cfg: RunConfig) -> bullet.BulletParams:
+    return bullet.BulletParams(
+        mass_kg=cfg.mass_kg,
+        density_kg_m3=cfg.density_kg_m3,
+        barrier_j=cfg.barrier_j,
+        line_density_per_m=cfg.line_density_per_m,
+        velocity_m_s=cfg.velocity_m_s,
+        center_m=cfg.center_m,
+    )
+
+
+def _grid_spec(cfg: RunConfig) -> bullet.GridSpec:
+    return bullet.GridSpec(cfg.grid_half_width, cfg.grid_points)
 
 
 def _map_jobs(fn, items, jobs: int) -> list:
@@ -312,16 +330,7 @@ def cmd_trajectory(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def cmd_bullet(cfg: RunConfig, out_dir: Path) -> list[Path]:
     """Flying-body packet report with the configured physical parameters."""
-    params = bullet.BulletParams(
-        mass_kg=cfg.mass_kg,
-        density_kg_m3=cfg.density_kg_m3,
-        barrier_j=cfg.barrier_j,
-        line_density_per_m=cfg.line_density_per_m,
-        velocity_m_s=cfg.velocity_m_s,
-        center_m=cfg.center_m,
-    )
-    grid = bullet.GridSpec(cfg.grid_half_width, cfg.grid_points)
-    report = bullet.bullet_report(params, grid)
+    report = bullet.bullet_report(_bullet_params(cfg), _grid_spec(cfg))
     path = out_dir / "bullet.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     return [path]
@@ -402,10 +411,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (core.IntegrationError, np.linalg.LinAlgError) as exc:
+    except (ValueError, core.IntegrationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     for path in written:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,22 +453,28 @@ def events_to_jsonl(events, seed: int) -> str:
 BASIS_METHODS = ("scan", "collapse_operator", "auto")
 
 
-def _determine_basis(
+def determine_basis(
     state: core.StateVector,
     h: core.PauliTermSum,
     method: str,
     scan_settings: ScanSettings,
-) -> CandidateBasis | None:
-    if method in ("collapse_operator", "auto"):
+) -> tuple[CandidateBasis | None, str, bool]:
+    """Collapse basis of ``state`` by ``method``: the one selection rule.
+
+    ``scan`` minimizes the mean branch acceleration; ``collapse_operator``
+    (and its alias ``auto``) takes the collapse operator's eigenbasis and
+    falls back to the scan when the operator is degenerate.  Returns
+    ``(basis, method_used, fell_back)``; ``basis`` is None when the scanned
+    landscape is flat, and each caller decides what a flat scan means.
+    """
+    operator_first = method in ("collapse_operator", "auto")
+    if operator_first:
         result = collapse_operator(h, psi=state)
         if not result.degenerate:
-            return result.basis
+            return result.basis, "collapse_operator", False
         logger.info("collapse operator degenerate; falling back to basis scan")
     basis, report = scan_collapse_basis(state, h, scan_settings)
-    if report.flat:
-        logger.warning("flat basis landscape; collapse event skipped")
-        return None
-    return basis
+    return (None if report.flat else basis), "scan", operator_first
 
 
 def run_trajectory(
@@ -486,14 +491,15 @@ def run_trajectory(
 ) -> tuple[entanglement.EntanglementTrace, list[CollapseEvent]]:
     """Evolve, checking the threshold on a fixed grid; collapse on crossings.
 
-    At every multiple of ``policy.check_interval`` the entangling speed is
-    measured (finite differences; uniformly valid through product states).
-    On a crossing the collapse basis is determined by ``basis_method``
-    ("scan", "collapse_operator" with scan fallback on degeneracy, or
-    "auto", an alias of the latter), the state is decomposed, an outcome is
-    Born-sampled, energies are audited, and the product branch replaces the
-    state.  Runs are deterministic given the seed and step sizes.  Event
-    times are grid times; no sub-step root polishing is attempted.
+    Runs the sampling loop shared with :func:`entanglement.compute_trace`
+    over ``ceil(t_max / check_interval)`` steps of ``policy.check_interval``,
+    so the entangling speed is measured by finite differences (uniformly
+    valid through product states).  On a crossing the collapse basis comes
+    from :func:`determine_basis` (a flat scan skips the event), the state is
+    decomposed, an outcome is Born-sampled, energies are audited, and the
+    product branch replaces the state.  Runs are deterministic given the
+    seed and step sizes.  Event times are grid times; no sub-step root
+    polishing is attempted.
     """
     # imported here: energy builds on the decomposition types above
     from . import energy as energy_mod
@@ -504,52 +510,38 @@ def run_trajectory(
         raise ValueError("t_max must be positive")
     scan_settings = scan_settings or ScanSettings()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    events: list[CollapseEvent] = []
+
+    def collapse_on_crossing(t, state, epsilon_dot):
+        if not check_threshold(epsilon_dot, policy):
+            return state
+        basis, _, _ = determine_basis(state, h, basis_method, scan_settings)
+        if basis is None:
+            logger.warning("flat basis landscape; collapse event skipped")
+            return state
+        decomp = decompose(state, basis)
+        e_before = energy_mod.energy_before(state, h)
+        e_after = energy_mod.energy_after_ensemble(decomp, h)
+        sample = sample_outcome(decomp, rng)
+        e_actual = energy_mod.energy_before(sample.state, h)
+        events.append(
+            CollapseEvent(
+                t_c=t,
+                basis=basis,
+                born_weights=tuple(float(p) for p in decomp.born_probabilities()),
+                outcome_index=sample.outcome_index,
+                e_before=e_before,
+                e_after_ensemble=e_after,
+                e_after_actual=e_actual,
+                rng_draw=sample.rng_draw,
+            )
+        )
+        return sample.state
 
     dt = policy.check_interval
     steps = int(math.ceil(t_max / dt - 1e-12))
-    times = np.arange(steps + 1) * dt
-    eps = np.empty(steps + 1)
-    eps_dot = np.empty(steps + 1)
-    eps_ddot = np.empty(steps + 1)
-    events: list[CollapseEvent] = []
-    state = initial
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for k in range(steps + 1):
-            if k > 0:
-                state = core.evolve(state, h, dt)
-            eps[k] = entanglement.state_entropy(state)
-            eps_dot[k] = entanglement.entangling_speed(
-                state, h, method="finite_diff", fd_step=fd_step
-            )
-            eps_ddot[k] = entanglement.entangling_acceleration(state, h, delta=accel_delta)
-            if not check_threshold(eps_dot[k], policy):
-                continue
-            basis = _determine_basis(state, h, basis_method, scan_settings)
-            if basis is None:
-                continue
-            decomp = decompose(state, basis)
-            e_before = energy_mod.energy_before(state, h)
-            e_after = energy_mod.energy_after_ensemble(decomp, h)
-            sample = sample_outcome(decomp, rng)
-            e_actual = energy_mod.energy_before(sample.state, h)
-            events.append(
-                CollapseEvent(
-                    t_c=float(times[k]),
-                    basis=basis,
-                    born_weights=tuple(float(p) for p in decomp.born_probabilities()),
-                    outcome_index=sample.outcome_index,
-                    e_before=e_before,
-                    e_after_ensemble=e_after,
-                    e_after_actual=e_actual,
-                    rng_draw=sample.rng_draw,
-                )
-            )
-            state = sample.state
-
-    trace = entanglement.EntanglementTrace(
-        times, eps, eps_dot, eps_ddot, model_tag, initial.n_env
+    trace = entanglement._sample(
+        initial, h, dt, steps, fd_step, accel_delta, model_tag, collapse_on_crossing
     )
     return trace, events
 

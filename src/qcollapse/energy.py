@@ -99,26 +99,6 @@ class SweepPoint:
     degenerate_fallback: bool
 
 
-def _basis_at_collapse(
-    state: core.StateVector,
-    h: core.PauliTermSum,
-    basis_method: str,
-    scan_settings: collapse.ScanSettings,
-) -> tuple[collapse.CandidateBasis, str, bool]:
-    if basis_method in ("collapse_operator", "auto"):
-        result = collapse.collapse_operator(h, psi=state)
-        if not result.degenerate:
-            return result.basis, "collapse_operator", False
-        basis, report = collapse.scan_collapse_basis(state, h, scan_settings)
-        if report.flat:
-            raise ValueError("flat basis landscape; no collapse basis exists")
-        return basis, "scan", True
-    basis, report = collapse.scan_collapse_basis(state, h, scan_settings)
-    if report.flat:
-        raise ValueError("flat basis landscape; no collapse basis exists")
-    return basis, "scan", False
-
-
 def deviation_sweep(
     n_values,
     hamiltonian_factory,
@@ -133,7 +113,9 @@ def deviation_sweep(
 
     For every environment size the state is evolved unitarily, the collapse
     time is taken as the first interior maximum of the entangling speed,
-    the basis is determined by ``basis_method``, and the audit is recorded.
+    the basis is determined by :func:`collapse.determine_basis` with
+    ``basis_method``, and the audit is recorded.  A flat basis landscape
+    raises ``ValueError``: the sweep has no collapse to audit.
     """
     scan_settings = scan_settings or collapse.ScanSettings()
     points = []
@@ -145,7 +127,9 @@ def deviation_sweep(
         )
         _, t_c, _ = entanglement.first_speed_peak(trace)
         state = core.evolve(initial, h, t_c)
-        basis, used, fell_back = _basis_at_collapse(state, h, basis_method, scan_settings)
+        basis, used, fell_back = collapse.determine_basis(state, h, basis_method, scan_settings)
+        if basis is None:
+            raise ValueError("flat basis landscape; no collapse basis exists")
         audit = audit_collapse(state, h, basis)
         points.append(
             SweepPoint(

@@ -239,25 +239,28 @@ def _unit_scale(units: str) -> float:
     raise ValueError(f"unknown entropy units {units!r}")
 
 
-def compute_trace(
+def _sample(
     initial: core.StateVector,
     h: core.PauliTermSum,
-    t_max: float,
     dt: float,
-    fd_step: float = DEFAULT_FD_STEP,
-    accel_delta: float = DEFAULT_ACCEL_STEP,
-    speed_method: str = "finite_diff",
-    model_tag: str = "custom",
+    steps: int,
+    fd_step: float,
+    accel_delta: float,
+    model_tag: str,
+    on_sample=None,
 ) -> EntanglementTrace:
-    """Sample entropy, speed, and acceleration along a purely unitary run.
+    """The one sampling loop behind :func:`compute_trace` and
+    :func:`collapse.run_trajectory`.
 
-    The default speed estimator is the finite-difference one because traces
-    routinely pass through (near-)product states where the analytic formula
-    would fall back anyway.
+    Samples entropy, finite-difference speed and acceleration at
+    ``k * dt`` for ``k = 0 .. steps``, advancing the state by
+    ``core.evolve(state, h, dt)`` between samples.
+    ``on_sample(t, state, epsilon_dot)`` runs after
+    each sample and returns the state to continue from, which is how a
+    trajectory substitutes a collapsed branch.  Finite differences are used
+    because samples routinely pass through (near-)product states, where the
+    analytic formula would fall back anyway.
     """
-    if t_max <= 0.0 or dt <= 0.0:
-        raise ValueError("t_max and dt must be positive")
-    steps = int(round(t_max / dt))
     times = np.arange(steps + 1) * dt
     eps = np.empty(steps + 1)
     eps_dot = np.empty(steps + 1)
@@ -269,9 +272,31 @@ def compute_trace(
             if k > 0:
                 state = core.evolve(state, h, dt)
             eps[k] = state_entropy(state)
-            eps_dot[k] = entangling_speed(state, h, method=speed_method, fd_step=fd_step)
+            eps_dot[k] = entangling_speed(state, h, method="finite_diff", fd_step=fd_step)
             eps_ddot[k] = entangling_acceleration(state, h, delta=accel_delta)
+            if on_sample is not None:
+                state = on_sample(float(times[k]), state, eps_dot[k])
     return EntanglementTrace(times, eps, eps_dot, eps_ddot, model_tag, initial.n_env)
+
+
+def compute_trace(
+    initial: core.StateVector,
+    h: core.PauliTermSum,
+    t_max: float,
+    dt: float,
+    fd_step: float = DEFAULT_FD_STEP,
+    accel_delta: float = DEFAULT_ACCEL_STEP,
+    model_tag: str = "custom",
+) -> EntanglementTrace:
+    """Sample entropy, speed, and acceleration along a purely unitary run.
+
+    Runs the sampling loop shared with :func:`collapse.run_trajectory` with
+    no per-sample hook, over ``round(t_max / dt)`` steps of ``dt``.
+    """
+    if t_max <= 0.0 or dt <= 0.0:
+        raise ValueError("t_max and dt must be positive")
+    steps = int(round(t_max / dt))
+    return _sample(initial, h, dt, steps, fd_step, accel_delta, model_tag)
 
 
 def first_speed_peak(trace: EntanglementTrace, floor: float = 1e-6) -> tuple[int, float, float]:

@@ -188,8 +188,10 @@ def critical_n_sweep(
     starts to fire; the full table is reported rather than a single
     crossover because the threshold itself is a free parameter.
     """
+    n_values = list(n_values)
+    t_rev = revival_time(g)
     rows = []
-    seeds = np.random.SeedSequence(seed).spawn(len(list(n_values)))
+    seeds = np.random.SeedSequence(seed).spawn(len(n_values))
     for i, n in enumerate(n_values):
         h = core.degenerate_ising(n, g)
         initial = core.StateVector.uniform_plus(n + 1)
@@ -197,13 +199,13 @@ def critical_n_sweep(
             initial,
             h,
             policy,
-            t_max=revival_time(g),
+            t_max=t_rev,
             seed=int(seeds[i].generate_state(1)[0]),
             basis_method=basis_method,
             scan_settings=scan_settings,
             model_tag="degenerate_ising",
         )
-        final = _replay_final_state(initial, h, events, revival_time(g))
+        final = _replay_final_state(initial, h, events, t_rev)
         rows.append(
             SweepRow(
                 n_env=n,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qcollapse import cli
+from qcollapse import cli, collapse
 
 
 def run_cli(*argv):
@@ -211,3 +211,31 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert run_cli("trace", "--config", str(tmp_path / "nope.cfg")) == 2
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("bullet", "grid_points=50"),
+        ("trace", "check_interval=inf"),
+        ("trace", "fd_step=0"),
+        ("trace", "accel_delta=0"),
+        ("trajectory", "scan_theta=1"),
+    ],
+)
+def test_invalid_settings_exit_2(tmp_path, capsys, command, setting):
+    assert run_cli(command, "--set", setting, "--out", str(tmp_path / "o")) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_numerical_value_error_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(psi, basis):
+        raise ValueError("branch weights sum to 0.5, not 1")
+
+    monkeypatch.setattr(collapse, "decompose", fail)
+    code = run_cli(
+        "trajectory", "--set", "model=degenerate_ising", "--set", "n=3",
+        "--set", "threshold=0.5", "--set", "t_max=1.0", "--out", str(tmp_path / "o"),
+    )
+    assert code == 3
+    assert "numerical failure: branch weights" in capsys.readouterr().err

@@ -475,3 +475,28 @@ def test_measurement_rejects_bad_basis_and_ready_state():
         collapse.derive_measurement_operators(
             np.eye(4, dtype=complex), np.array([2.0, 0.0]), np.eye(2)
         )
+
+
+def test_trace_is_a_trajectory_that_never_fires():
+    # compute_trace and run_trajectory share one sampling loop; on a grid
+    # where round() and ceil() agree on the step count they must agree bit
+    # for bit, every column
+    h = core.transverse_coupled(3)
+    init = tilted_initial(3, math.pi / 3)
+    trace = entanglement.compute_trace(init, h, t_max=0.5, dt=0.05)
+    traj, events = collapse.run_trajectory(
+        init, h, collapse.ThresholdPolicy(math.inf, 0.05), t_max=0.5, seed=3
+    )
+    assert events == []
+    assert len(trace) == len(traj) == 11
+    for column in ("times", "epsilon", "epsilon_dot", "epsilon_ddot"):
+        np.testing.assert_array_equal(getattr(traj, column), getattr(trace, column))
+
+
+def test_determine_basis_flat_landscape_returns_none(rng):
+    h = core.PauliTermSum([], num_sites=3)
+    psi = random_state(rng, 3)
+    settings = collapse.ScanSettings(n_theta=8, n_phi=8)
+    assert collapse.determine_basis(psi, h, "scan", settings) == (None, "scan", False)
+    # the zero operator is degenerate, so the operator routes fall back
+    assert collapse.determine_basis(psi, h, "auto", settings) == (None, "scan", True)

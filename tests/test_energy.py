@@ -134,3 +134,43 @@ def test_deviation_sweep_trend():
     )
     assert points[1].relative_deviation < points[0].relative_deviation
     assert all(not p.floored for p in points)
+
+
+@pytest.mark.parametrize(
+    "model, theta_env, method, used, fell_back",
+    [
+        ("transverse_coupled", math.pi / 4, "scan", "scan", False),
+        ("transverse_coupled", math.pi / 4, "collapse_operator", "collapse_operator", False),
+        ("transverse_coupled", math.pi / 4, "auto", "collapse_operator", False),
+        ("degenerate_ising", math.pi / 2, "scan", "scan", False),
+        ("degenerate_ising", math.pi / 2, "collapse_operator", "scan", True),
+        ("degenerate_ising", math.pi / 2, "auto", "scan", True),
+    ],
+)
+def test_deviation_sweep_uses_the_shared_basis_rule(model, theta_env, method, used, fell_back):
+    n = 3
+    h = core.build_hamiltonian(model, n_env=n)
+    sites = [core.spin_state(math.pi / 2)] + [core.spin_state(theta_env)] * n
+    init = core.StateVector.from_site_states(sites)
+    settings = collapse.ScanSettings(n_theta=16, n_phi=16)
+    (point,) = energy.deviation_sweep(
+        (n,), lambda m: h, lambda m: init, t_max=1.0, dt=0.02,
+        basis_method=method, scan_settings=settings,
+    )
+    state = core.evolve(init, h, point.t_c)
+    basis, method_used, fallback = collapse.determine_basis(state, h, method, settings)
+    assert (point.basis_theta, point.basis_phi) == (basis.theta, basis.phi)
+    assert (point.basis_method_used, point.degenerate_fallback) == (method_used, fallback)
+    assert (method_used, fallback) == (used, fell_back)
+
+
+def test_deviation_sweep_raises_on_flat_landscape():
+    with pytest.raises(ValueError, match="flat basis landscape"):
+        energy.deviation_sweep(
+            (2,),
+            lambda n: core.PauliTermSum([], num_sites=n + 1),
+            lambda n: core.StateVector.uniform_plus(n + 1),
+            t_max=0.1,
+            dt=0.05,
+            scan_settings=collapse.ScanSettings(n_theta=8, n_phi=8),
+        )

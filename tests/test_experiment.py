@@ -96,3 +96,10 @@ def test_critical_n_sweep_monotone_speed_and_events():
     assert any(e >= 1 for e in events)
     first = next(r.n_env for r in rows if r.events >= 1)
     assert all(r.events >= 1 for r in rows if r.n_env >= first)
+
+
+def test_critical_n_sweep_accepts_a_generator():
+    policy = collapse.ThresholdPolicy(0.5, 0.05)
+    rows = experiment.critical_n_sweep((n for n in (2, 3)), 1.0, policy, seed=5)
+    assert len(rows) == 2
+    assert rows == experiment.critical_n_sweep((2, 3), 1.0, policy, seed=5)
