@@ -142,6 +142,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("g must be positive")
     if not (cfg.t_max > 0 and cfg.fd_step > 0 and cfg.accel_delta > 0):
         raise ConfigError("t_max, fd_step and accel_delta must be positive")
+    if cfg.accel_delta < entanglement.MIN_ACCEL_STEP:
+        raise ConfigError(f"accel_delta must be at least {entanglement.MIN_ACCEL_STEP}")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
     if cfg.jobs < 1:

@@ -453,6 +453,11 @@ def events_to_jsonl(events, seed: int) -> str:
 BASIS_METHODS = ("scan", "collapse_operator", "auto")
 
 
+def _check_basis_method(method: str) -> None:
+    if method not in BASIS_METHODS:
+        raise ValueError(f"unknown basis method {method!r} (known: {', '.join(BASIS_METHODS)})")
+
+
 def determine_basis(
     state: core.StateVector,
     h: core.PauliTermSum,
@@ -466,7 +471,9 @@ def determine_basis(
     falls back to the scan when the operator is degenerate.  Returns
     ``(basis, method_used, fell_back)``; ``basis`` is None when the scanned
     landscape is flat, and each caller decides what a flat scan means.
+    A method outside ``BASIS_METHODS`` raises ``ValueError``.
     """
+    _check_basis_method(method)
     operator_first = method in ("collapse_operator", "auto")
     if operator_first:
         result = collapse_operator(h, psi=state)
@@ -504,8 +511,7 @@ def run_trajectory(
     # imported here: energy builds on the decomposition types above
     from . import energy as energy_mod
 
-    if basis_method not in BASIS_METHODS:
-        raise ValueError(f"unknown basis method {basis_method!r}")
+    _check_basis_method(basis_method)
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     scan_settings = scan_settings or ScanSettings()

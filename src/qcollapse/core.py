@@ -279,26 +279,59 @@ class PauliTermSum:
         return self._diag
 
     def dense(self) -> np.ndarray:
-        """Materialize the full matrix (small registers only)."""
+        """Materialize the full matrix (small registers only).
+
+        Each Pauli string is a signed permutation of the computational basis:
+        column ``c`` holds ``i^(#Y) * (-1)^popcount(c & yz_mask)`` in row
+        ``c ^ flip_mask``, where ``flip_mask`` marks the X/Y sites and
+        ``yz_mask`` the Y/Z sites.  The build is therefore O(terms * dim)
+        scatter-adds, not Kronecker products.  The matrix is float64 when
+        every string has an even number of Y (both named models) and complex
+        otherwise.
+        """
         if self.num_sites > DENSE_SITE_LIMIT:
             raise ValueError(
                 f"refusing to materialize a {self.dim} x {self.dim} matrix"
             )
         if self._dense is None:
-            h = np.zeros((self.dim, self.dim), dtype=complex)
-            for t in self.terms:
-                h += t.coefficient * reduce(
-                    np.kron, [PAULI_MATRICES[ch] for ch in t.string]
-                )
+            cols = np.arange(self.dim)
+            parity = np.zeros(self.dim, dtype=cols.dtype)
+            for k in range(self.num_sites):
+                parity ^= (cols >> k) & 1
+            # (-1)^popcount(x) for every bit pattern x
+            signs = 1.0 - 2.0 * parity
+            y_counts = [t.string.count("Y") for t in self.terms]
+            real = all(n_y % 2 == 0 for n_y in y_counts)
+            h = np.zeros((self.dim, self.dim), dtype=float if real else complex)
+            for t, n_y in zip(self.terms, y_counts):
+                flip, yz = _string_masks(t.string)
+                phase = (-1.0) ** (n_y // 2) * (1j if n_y % 2 else 1.0)
+                h[cols ^ flip, cols] += (t.coefficient * phase) * signs[cols & yz]
             self._dense = h
         return self._dense
 
     def eigensystem(self):
-        """Cached (eigenvalues, eigenvectors) of the dense matrix."""
+        """Cached (eigenvalues, eigenvectors) of the dense matrix.
+
+        A real Hamiltonian (no string with an odd number of Y) gets the
+        real-symmetric ``eigh`` and real eigenvectors.
+        """
         if self._eig is None:
             evals, evecs = np.linalg.eigh(self.dense())
             self._eig = (evals, evecs)
         return self._eig
+
+
+def _string_masks(string: str) -> tuple[int, int]:
+    """Bit masks of the X/Y sites (flipped) and the Y/Z sites (signed)."""
+    flip = yz = 0
+    for k, ch in enumerate(string):
+        bit = 1 << (len(string) - 1 - k)  # site 0 is the most significant bit
+        if ch in "XY":
+            flip |= bit
+        if ch in "YZ":
+            yz |= bit
+    return flip, yz
 
 
 def _axis_factor(values, axis: int, ndim: int) -> np.ndarray:
@@ -380,23 +413,59 @@ def _evolve_rk4(amps: np.ndarray, h: PauliTermSum, dt: float) -> np.ndarray:
     return y
 
 
+def _to_eigenbasis(evecs: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``evecs^H @ block`` without copying or casting the eigenvector matrix.
+
+    numpy casts a real matrix to complex before multiplying it by a complex
+    block.  With real eigenvectors the real and imaginary parts of the block
+    instead go through one real GEMM as stacked rows, ``[re; im]^T @ evecs``.
+    """
+    if np.iscomplexobj(evecs):
+        return (evecs.T @ block.conj()).conj()
+    b = block.reshape(block.shape[0], -1)
+    m = b.shape[1]
+    z = np.concatenate([b.real.T, b.imag.T]) @ evecs
+    out = np.empty(b.shape, dtype=complex)
+    out.real = z[:m].T
+    out.imag = z[m:].T
+    return out.reshape(block.shape)
+
+
+def _from_eigenbasis(evecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``evecs @ coeffs`` without casting the eigenvector matrix.
+
+    With real eigenvectors this is one real GEMM on the (dim, 2m) float64
+    view of the coefficients, whose columns interleave real and imaginary
+    parts.
+    """
+    if np.iscomplexobj(evecs):
+        return evecs @ coeffs
+    c = np.ascontiguousarray(coeffs)
+    prod = evecs @ c.view(np.float64).reshape(c.shape[0], -1)
+    return prod.view(complex).reshape(c.shape)
+
+
+def _path(h: PauliTermSum, method: str) -> str:
+    if method != "auto":
+        return method
+    if h.is_diagonal:
+        return "diagonal"
+    if h.num_sites <= DENSE_SITE_LIMIT:
+        return "dense"
+    return "rk4"
+
+
 def _evolve_block(block: np.ndarray, h: PauliTermSum, dt: float, method: str) -> np.ndarray:
-    if method == "auto":
-        if h.is_diagonal:
-            method = "diagonal"
-        elif h.num_sites <= DENSE_SITE_LIMIT:
-            method = "dense"
-        else:
-            method = "rk4"
+    method = _path(h, method)
     if method == "diagonal":
         phases = np.exp(-1j * dt * h.diagonal())
         return block * (phases[:, None] if block.ndim == 2 else phases)
     if method == "dense":
         evals, evecs = h.eigensystem()
         phases = np.exp(-1j * dt * evals)
-        rotated = evecs.conj().T @ block
-        rotated = rotated * (phases[:, None] if block.ndim == 2 else phases)
-        return evecs @ rotated
+        rotated = _to_eigenbasis(evecs, block)
+        rotated *= phases[:, None] if block.ndim == 2 else phases
+        return _from_eigenbasis(evecs, rotated)
     if method == "rk4":
         if block.ndim == 1:
             return _evolve_rk4(block, h, dt)
@@ -404,20 +473,26 @@ def _evolve_block(block: np.ndarray, h: PauliTermSum, dt: float, method: str) ->
     raise ValueError(f"unknown evolution method {method!r}")
 
 
+def _check_operands(psi: StateVector, h: PauliTermSum) -> None:
+    if psi.num_sites != h.num_sites:
+        raise ValueError(
+            f"state on {psi.num_sites} sites evolved by an operator on {h.num_sites}"
+        )
+
+
 def evolve(psi: StateVector, h: PauliTermSum, dt: float, method: str = "auto") -> StateVector:
     """exp(-i H dt) |psi>.
 
     Diagonal operators are advanced by pure phases; other operators use a
     cached dense eigendecomposition up to ``DENSE_SITE_LIMIT`` sites and a
-    fixed-step 4th-order integrator beyond that.  The integrator's step is
-    chosen so the local error stays below 1e-12 and every step renormalizes;
-    drift beyond 1e-6 raises :class:`IntegrationError` instead of passing
-    silently.
+    fixed-step 4th-order integrator beyond that.  On the dense path the
+    state is rotated into the eigenbasis and back by real GEMMs when the
+    eigenvectors are real, so the d x d matrix is neither copied nor cast.
+    The integrator's step is chosen so the local error stays below 1e-12
+    and every step renormalizes; drift beyond 1e-6 raises
+    :class:`IntegrationError` instead of passing silently.
     """
-    if psi.num_sites != h.num_sites:
-        raise ValueError(
-            f"state on {psi.num_sites} sites evolved by an operator on {h.num_sites}"
-        )
+    _check_operands(psi, h)
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
     out = _evolve_block(psi.amplitudes, h, dt, method)
@@ -425,6 +500,41 @@ def evolve(psi: StateVector, h: PauliTermSum, dt: float, method: str = "auto") -
     if abs(nrm - 1.0) > 1e-10:
         raise IntegrationError(f"evolution drifted the norm to {nrm:.12g}")
     return StateVector(out / nrm)
+
+
+def evolve_times(psi: StateVector, h: PauliTermSum, times) -> np.ndarray:
+    """exp(-i H t_j) |psi> for every offset ``t_j``, as a (dim, k) block.
+
+    The paths are those of :func:`evolve`, batched over the offsets: the
+    diagonal path multiplies by a (dim, k) table of phases, the dense path
+    rotates ``psi`` into the cached eigenbasis once and rotates all k phased
+    copies back in one matrix product, and above ``DENSE_SITE_LIMIT`` the
+    integrator runs once per offset.  Every column is renormalized; a column
+    whose norm drifted by more than 1e-10 raises :class:`IntegrationError`.
+    """
+    _check_operands(psi, h)
+    times = np.asarray(times, dtype=float).ravel()
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    amps = psi.amplitudes
+    method = _path(h, "auto")
+    if method == "diagonal":
+        out = amps[:, None] * np.exp(-1j * np.outer(h.diagonal(), times))
+    elif method == "dense":
+        evals, evecs = h.eigensystem()
+        coeffs = _to_eigenbasis(evecs, amps)
+        out = _from_eigenbasis(evecs, coeffs[:, None] * np.exp(-1j * np.outer(evals, times)))
+    else:
+        out = np.column_stack([_evolve_rk4(amps, h, t) for t in times])
+    # per-column BLAS norms: an axis reduction sums sequentially, and its
+    # roundoff, different in every column, would leak into the stencils'
+    # entropy differences
+    nrm = np.array([np.linalg.norm(col) for col in out.T])
+    drift = np.abs(nrm - 1.0)
+    if np.any(drift > 1e-10):
+        worst = nrm[int(np.argmax(drift))]
+        raise IntegrationError(f"evolution drifted the norm to {worst:.12g}")
+    return out / nrm
 
 
 def evolve_many(block: np.ndarray, h: PauliTermSum, dt: float, method: str = "auto") -> np.ndarray:

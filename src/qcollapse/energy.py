@@ -117,6 +117,8 @@ def deviation_sweep(
     ``basis_method``, and the audit is recorded.  A flat basis landscape
     raises ``ValueError``: the sweep has no collapse to audit.
     """
+    # before the first trace: an unknown method fails fast, not after a run
+    collapse._check_basis_method(basis_method)
     scan_settings = scan_settings or collapse.ScanSettings()
     points = []
     for n in n_values:

@@ -29,6 +29,9 @@ ANALYTIC_MIN_EIGENVALUE = 1e-10
 
 DEFAULT_FD_STEP = 1e-4
 DEFAULT_ACCEL_STEP = 1e-3
+# smallest acceleration stencil step: below it the delta**-2 division turns
+# entropy roundoff into noise
+MIN_ACCEL_STEP = 1e-8
 RICHARDSON_REPORT_TOL = 1e-4
 
 TRACE_COLUMNS = ("t", "epsilon", "epsilon_dot", "epsilon_ddot")
@@ -67,12 +70,19 @@ def state_entropy(psi) -> float:
 
 
 def block_entropies(block: np.ndarray) -> np.ndarray:
-    """System-qubit entropies for every column of a (dim, m) state block."""
+    """System-qubit entropies for every column of a (dim, m) state block.
+
+    Each column's reduced-state entries are summed along a contiguous row,
+    where numpy sums pairwise.  A sequential sum's roundoff differs between
+    neighbouring columns and leaks into the finite-difference stencils,
+    which divide entropy differences by small steps.
+    """
     dim, m = block.shape
-    b = block.reshape(2, dim // 2, m)
-    r00 = np.einsum("em,em->m", b[0], b[0].conj()).real
-    r11 = np.einsum("em,em->m", b[1], b[1].conj()).real
-    r01 = np.einsum("em,em->m", b[0], b[1].conj())
+    rows = np.ascontiguousarray(block.T).reshape(m, 2, dim // 2)
+    up, down = rows[:, 0], rows[:, 1]
+    r00 = np.square(up.view(np.float64)).sum(axis=1)
+    r11 = np.square(down.view(np.float64)).sum(axis=1)
+    r01 = (up * down.conj()).sum(axis=1)
     disc = np.sqrt(np.maximum((r00 - r11) ** 2 + 4.0 * np.abs(r01) ** 2, 0.0))
     tr = r00 + r11
     lams = np.stack([0.5 * (tr - disc), 0.5 * (tr + disc)])
@@ -82,18 +92,17 @@ def block_entropies(block: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _entropy_at_offset(psi: core.StateVector, h: core.PauliTermSum, dt: float) -> float:
-    return state_entropy(core.evolve(psi, h, dt))
-
-
 def _finite_diff_speed(psi, h, fd_step: float) -> float:
-    d_full = (
-        _entropy_at_offset(psi, h, fd_step) - _entropy_at_offset(psi, h, -fd_step)
-    ) / (2.0 * fd_step)
+    """Central difference of the entropy with one Richardson halving.
+
+    The four offsets +-fd_step and +-fd_step/2 come from one
+    :func:`core.evolve_times` call: on the dense path, one rotation into the
+    cached eigenbasis and one matrix product back.
+    """
     half = 0.5 * fd_step
-    d_half = (
-        _entropy_at_offset(psi, h, half) - _entropy_at_offset(psi, h, -half)
-    ) / (2.0 * half)
+    s = block_entropies(core.evolve_times(psi, h, [fd_step, -fd_step, half, -half]))
+    d_full = float(s[0] - s[1]) / (2.0 * fd_step)
+    d_half = float(s[2] - s[3]) / (2.0 * half)
     if abs(d_half - d_full) > RICHARDSON_REPORT_TOL:
         warnings.warn(
             f"entangling-speed finite difference is step sensitive: "
@@ -157,20 +166,20 @@ def entangling_acceleration(
 
     At a product state both the entropy and its first derivative vanish, so
     the one-sided stencil (eps(2d) - 2 eps(d)) / d^2 applies; elsewhere the
-    symmetric second difference is used.
+    symmetric second difference is used.  Both offsets come from one
+    :func:`core.evolve_times` call.  ``delta`` must be at least
+    ``MIN_ACCEL_STEP``.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if delta < 1e-8:
+    if delta < MIN_ACCEL_STEP:
         raise ValueError("delta underflows the second-difference stencil")
     eps0 = state_entropy(psi)
     if eps0 < 1e-9:
-        e1 = _entropy_at_offset(psi, h, delta)
-        e2 = _entropy_at_offset(psi, h, 2.0 * delta)
-        return (e2 - 2.0 * e1) / delta**2
-    e_plus = _entropy_at_offset(psi, h, delta)
-    e_minus = _entropy_at_offset(psi, h, -delta)
-    return (e_plus - 2.0 * eps0 + e_minus) / delta**2
+        e1, e2 = block_entropies(core.evolve_times(psi, h, [delta, 2.0 * delta]))
+        return float(e2 - 2.0 * e1) / delta**2
+    e_plus, e_minus = block_entropies(core.evolve_times(psi, h, [delta, -delta]))
+    return float(e_plus - 2.0 * eps0 + e_minus) / delta**2
 
 
 @dataclass

@@ -239,3 +239,18 @@ def test_numerical_value_error_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "numerical failure: branch weights" in capsys.readouterr().err
+
+
+def test_accel_delta_below_stencil_floor_exits_2(tmp_path, capsys):
+    code = run_cli("trace", "--set", "accel_delta=1e-9", "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "accel_delta" in err
+
+
+def test_accel_delta_at_stencil_floor_runs(tmp_path):
+    out = tmp_path / "o"
+    code = run_cli("trace", "--set", "n_list=2", "--set", "t_max=0.1",
+                   "--set", "accel_delta=1e-8", "--out", str(out))
+    assert code == 0
+    assert (out / "trace_n2.csv").is_file()

@@ -500,3 +500,10 @@ def test_determine_basis_flat_landscape_returns_none(rng):
     assert collapse.determine_basis(psi, h, "scan", settings) == (None, "scan", False)
     # the zero operator is degenerate, so the operator routes fall back
     assert collapse.determine_basis(psi, h, "auto", settings) == (None, "scan", True)
+
+
+def test_determine_basis_rejects_unknown_method():
+    h = core.transverse_coupled(2)
+    state = core.StateVector.uniform_plus(3)
+    with pytest.raises(ValueError, match="scan, collapse_operator, auto"):
+        collapse.determine_basis(state, h, "bogus", collapse.ScanSettings(n_theta=4, n_phi=4))

@@ -174,3 +174,12 @@ def test_deviation_sweep_raises_on_flat_landscape():
             dt=0.05,
             scan_settings=collapse.ScanSettings(n_theta=8, n_phi=8),
         )
+
+
+def test_deviation_sweep_rejects_unknown_method_before_any_trace():
+    def never_called(n):
+        raise AssertionError("the sweep ran a trace before checking the method")
+
+    with pytest.raises(ValueError, match="scan, collapse_operator, auto"):
+        energy.deviation_sweep((2,), never_called, never_called, t_max=0.1, dt=0.05,
+                               basis_method="bogus")
