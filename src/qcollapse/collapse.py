@@ -161,39 +161,56 @@ def decompose(psi: core.StateVector, basis: CandidateBasis) -> RelativeDecomposi
     return RelativeDecomposition(basis, weights, env, tuple(flags))
 
 
-def _branch_accelerations(
-    sys_rows: np.ndarray,
-    env_rows: np.ndarray,
-    h: core.PauliTermSum,
-    delta: float,
-) -> np.ndarray:
-    """One-sided second-difference entropy acceleration per product branch.
-
-    Rows define product states kron(sys_rows[i], env_rows[i]); both factors
-    must be normalized.  Branches start as exact product states, so the
-    one-sided stencil from :mod:`entanglement` applies.
-    """
-    block = np.einsum("ma,me->mae", sys_rows, env_rows).reshape(sys_rows.shape[0], -1).T
-    b1 = core.evolve_many(block, h, delta)
-    b2 = core.evolve_many(b1, h, delta)
-    s1 = entanglement.block_entropies(b1)
-    s2 = entanglement.block_entropies(b2)
-    return (s2 - 2.0 * s1) / delta**2
-
-
 def mean_entangling_acceleration(
     decomp: RelativeDecomposition,
     h: core.PauliTermSum,
     delta: float = entanglement.DEFAULT_ACCEL_STEP,
 ) -> float:
     """Born-weighted mean of the branch entanglement accelerations."""
-    keep = [i for i in range(2) if not decomp.zero_weight[i]]
-    if not keep:
-        return 0.0
-    rows = decomp.basis.state_pair()[keep]
-    acc = _branch_accelerations(rows, decomp.env_states[keep], h, delta)
-    probs = decomp.born_probabilities()[keep]
-    return float(np.sum(probs * acc))
+    b = decomp.basis
+    return float(
+        _mean_accel_grid(
+            decomp.reconstruct(), h, np.array([b.theta]), np.array([b.phi]), delta
+        )[0]
+    )
+
+
+def _scan_tensors(amps: np.ndarray, h: core.PauliTermSum, delta: float) -> tuple:
+    """Inner products that score any candidate basis of ``amps`` in O(1).
+
+    With ``M = amps.reshape(2, -1)`` the branch of a basis vector ``a`` is
+    ``sum_pq a_p conj(a_q) / c * v_pq`` with ``v_pq = e_p (x) M_q``, so only
+    the four ``v_pq`` are evolved, by ``delta`` and by ``2 delta``.  Their
+    increments ``X_pq = U v_pq - v_pq`` are O(delta) and keep their relative
+    precision.  Columns are evolved at unit norm (the integrator requires
+    it) and zero columns are skipped.  Returns the reduced state
+    ``rho = M M^H`` and, per offset, the (8, 8) Gram block
+    ``<X[j], X[i]>`` and the (8, 2) block ``<X[j], M_q>``, where
+    ``j = (p, q, s)`` runs over the system rows ``s`` of each ``X_pq``.
+    """
+    mat = amps.reshape(2, -1)
+    vecs = np.zeros((2, 2, 2, mat.shape[1]), dtype=complex)  # (p, q, s, env)
+    for p in range(2):
+        vecs[p, :, p] = mat
+    vecs = vecs.reshape(4, -1).T
+    norms = np.linalg.norm(vecs, axis=0)
+    live = norms > 0.0
+    unit = vecs[:, live] / norms[live]
+    grams, crosses = [], []
+    for step in (delta, 2.0 * delta):
+        inc = np.zeros_like(vecs)
+        inc[:, live] = (core.evolve_many(unit, h, step) - unit) * norms[live]
+        x = inc.T.reshape(8, -1)
+        grams.append(x.conj() @ x.T)
+        crosses.append(x.conj() @ mat.T)
+    return mat @ mat.conj().T, np.stack(grams), np.stack(crosses)
+
+
+def _branch_entropy(lam: np.ndarray) -> np.ndarray:
+    """Entropy of a qubit state with eigenvalues ``lam`` and ``1 - lam``."""
+    small = np.where(lam > entanglement.EIG_CUTOFF, lam, 1.0)
+    s = -np.where(lam > entanglement.EIG_CUTOFF, lam * np.log(small), 0.0)
+    return np.maximum(s - (1.0 - lam) * np.log1p(-lam), 0.0)
 
 
 def _mean_accel_grid(
@@ -202,25 +219,46 @@ def _mean_accel_grid(
     thetas: np.ndarray,
     phis: np.ndarray,
     delta: float,
-    chunk: int = 2048,
+    tensors: tuple | None = None,
 ) -> np.ndarray:
-    """Mean branch acceleration for a batch of (theta, phi) candidates."""
-    mat = amps.reshape(2, -1)
+    """Mean branch acceleration for a batch of (theta, phi) candidates.
+
+    Each branch ``a (x) env`` starts as a product state, so its acceleration
+    is the one-sided stencil ``(S(2 delta) - 2 S(delta)) / delta**2``.  The
+    evolved branch is read in the frame of the pair ``(a, b)``:
+    ``r1 = b^H Psi`` is ``b^H Y`` with ``Y = sum_pq w_pq X_pq``, and the small
+    eigenvalue of the reduced state follows from the determinant
+    ``(1 - |r1|^2) |r1|^2 - |<r1, r0>|^2``, which has no ``tr - disc``
+    cancellation.  Every product comes from :func:`_scan_tensors` (pass
+    ``tensors`` to reuse them), so no branch is evolved per candidate.
+    Branches below ``ZERO_WEIGHT_TOL`` contribute nothing.
+    """
+    rho, gram, cross = _scan_tensors(amps, h, delta) if tensors is None else tensors
     half = thetas / 2.0
     ph = np.exp(1j * phis)
     a0 = np.stack([np.cos(half), ph * np.sin(half)], axis=1)
     a1 = np.stack([np.sin(half), -ph * np.cos(half)], axis=1)
-    out = np.zeros(thetas.size)
-    for a_rows in (a0, a1):
-        proj = a_rows.conj() @ mat
-        c = np.linalg.norm(proj, axis=1)
-        env = proj / np.maximum(c, ZERO_WEIGHT_TOL)[:, None]
-        probs = c**2
-        for start in range(0, thetas.size, chunk):
-            sl = slice(start, min(start + chunk, thetas.size))
-            acc = _branch_accelerations(a_rows[sl], env[sl], h, delta)
-            out[sl] += probs[sl] * acc
-    return out
+    # both branches of every candidate at once: rows of a, partners in b
+    a = np.concatenate([a0, a1])
+    b = np.concatenate([a1, a0])
+    c2 = np.einsum("np,pq,nq->n", a.conj(), rho, a).real
+    c = np.sqrt(np.maximum(c2, 0.0))
+    live = c >= ZERO_WEIGHT_TOL
+    inv_c = 1.0 / np.where(live, c, 1.0)
+    w = a[:, :, None] * a.conj()[:, None, :] * inv_c[:, None, None]
+    alpha = (w[..., None] * a.conj()[:, None, None, :]).reshape(-1, 8)
+    beta = (w[..., None] * b.conj()[:, None, None, :]).reshape(-1, 8)
+    env = a.conj() * inv_c[:, None]  # coefficients of M_q in the branch
+    # one row per offset (delta, 2 delta)
+    gram_t = gram.transpose(0, 2, 1)
+    r1_sq = np.einsum("nj,knj->kn", beta.conj(), beta @ gram_t).real
+    overlap = np.einsum(
+        "nj,knj->kn", beta.conj(), alpha @ gram_t + env @ cross.transpose(0, 2, 1)
+    )
+    det = np.clip((1.0 - r1_sq) * r1_sq - np.abs(overlap) ** 2, 0.0, 0.25)
+    s = _branch_entropy(2.0 * det / (1.0 + np.sqrt(1.0 - 4.0 * det)))
+    acc = np.where(live, c2 * (s[1] - 2.0 * s[0]) / delta**2, 0.0)
+    return acc[: thetas.size] + acc[thetas.size :]
 
 
 @dataclass(frozen=True)
@@ -253,18 +291,25 @@ def scan_collapse_basis(
 ) -> tuple[CandidateBasis, ScanReport]:
     """Minimize the mean branch acceleration over the Bloch sphere.
 
-    A coarse grid locates the basin; Nelder-Mead polishes the minimum from
-    the best cell.  Grid ties within ``TIE_TOL`` break toward the smallest
-    theta, then the smallest phi, so repeated scans are reproducible.  A
-    landscape whose grid spread is below ``FLAT_LANDSCAPE_TOL`` is flagged
-    flat and returned unrefined.
+    The state's branch tensors (:func:`_scan_tensors`, eight evolved
+    columns) are computed once; every grid cell and every Nelder-Mead
+    evaluation is then O(1).  A coarse grid locates the basin.  Grid ties
+    within ``TIE_TOL`` break toward the smallest theta, then the smallest
+    phi, so repeated scans are reproducible.  Nelder-Mead then polishes the
+    minimum in the tangent plane ``n0 + x e1 + y e2`` at the best cell's
+    Bloch axis ``n0``, from a simplex one grid step wide, so a minimum on a
+    pole is as well conditioned as one on the equator.  A landscape whose
+    grid spread is below ``FLAT_LANDSCAPE_TOL`` is flagged flat and returned
+    unrefined.
     """
     settings = settings or ScanSettings()
+    delta = settings.accel_delta
+    tensors = _scan_tensors(psi.amplitudes, h, delta)
     thetas = np.linspace(0.0, math.pi, settings.n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, settings.n_phi, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     values = _mean_accel_grid(
-        psi.amplitudes, h, tt.ravel(), pp.ravel(), settings.accel_delta
+        psi.amplitudes, h, tt.ravel(), pp.ravel(), delta, tensors
     ).reshape(settings.n_theta, settings.n_phi)
 
     vmin = float(values.min())
@@ -278,23 +323,37 @@ def scan_collapse_basis(
     best_theta, best_phi, best_val = coarse
     nm_evals = 0
     if settings.refine and not flat:
+        # orthonormal frame at the cell: its axis and the theta and phi tangents
+        n0 = CandidateBasis(best_theta, best_phi).bloch_axis()
+        e1 = CandidateBasis(best_theta + 0.5 * math.pi, best_phi).bloch_axis()
+        e2 = np.cross(n0, e1)
+
+        def chart(x):
+            return CandidateBasis.from_bloch_vector(n0 + x[0] * e1 + x[1] * e2)
+
         def objective(x):
+            b = chart(x)
             return float(
                 _mean_accel_grid(
-                    psi.amplitudes, h, np.array([x[0]]), np.array([x[1]]),
-                    settings.accel_delta,
+                    psi.amplitudes, h, np.array([b.theta]), np.array([b.phi]),
+                    delta, tensors,
                 )[0]
             )
 
+        step = float(thetas[1] - thetas[0])
         res = optimize.minimize(
             objective,
-            x0=np.array([best_theta, best_phi]),
+            x0=np.zeros(2),
             method="Nelder-Mead",
-            options={"xatol": 1e-5, "fatol": 1e-14, "maxiter": 200},
+            options={
+                "xatol": 1e-5, "fatol": 1e-14, "maxiter": 200,
+                "initial_simplex": np.array([[0.0, 0.0], [step, 0.0], [0.0, step]]),
+            },
         )
         nm_evals = int(res.nfev)
         if res.fun <= best_val:
-            best_theta, best_phi = canonical_angles(res.x[0], res.x[1])
+            refined = chart(res.x)
+            best_theta, best_phi = refined.theta, refined.phi
             best_val = float(res.fun)
 
     basis = CandidateBasis(best_theta, best_phi)

@@ -204,7 +204,7 @@ class PauliTermSum:
     lazily, which makes repeated evolutions under the same operator cheap.
     """
 
-    __slots__ = ("terms", "num_sites", "_diag", "_eig", "_dense")
+    __slots__ = ("terms", "num_sites", "_diag", "_eig")
 
     def __init__(self, terms, num_sites: int | None = None):
         packed = []
@@ -239,7 +239,6 @@ class PauliTermSum:
         self.num_sites = int(num_sites)
         self._diag = None
         self._eig = None
-        self._dense = None
 
     @property
     def dim(self) -> int:
@@ -287,34 +286,33 @@ class PauliTermSum:
         ``yz_mask`` the Y/Z sites.  The build is therefore O(terms * dim)
         scatter-adds, not Kronecker products.  The matrix is float64 when
         every string has an even number of Y (both named models) and complex
-        otherwise.
+        otherwise.  Each call builds a fresh matrix; nothing keeps it.
         """
         if self.num_sites > DENSE_SITE_LIMIT:
             raise ValueError(
                 f"refusing to materialize a {self.dim} x {self.dim} matrix"
             )
-        if self._dense is None:
-            cols = np.arange(self.dim)
-            parity = np.zeros(self.dim, dtype=cols.dtype)
-            for k in range(self.num_sites):
-                parity ^= (cols >> k) & 1
-            # (-1)^popcount(x) for every bit pattern x
-            signs = 1.0 - 2.0 * parity
-            y_counts = [t.string.count("Y") for t in self.terms]
-            real = all(n_y % 2 == 0 for n_y in y_counts)
-            h = np.zeros((self.dim, self.dim), dtype=float if real else complex)
-            for t, n_y in zip(self.terms, y_counts):
-                flip, yz = _string_masks(t.string)
-                phase = (-1.0) ** (n_y // 2) * (1j if n_y % 2 else 1.0)
-                h[cols ^ flip, cols] += (t.coefficient * phase) * signs[cols & yz]
-            self._dense = h
-        return self._dense
+        cols = np.arange(self.dim)
+        parity = np.zeros(self.dim, dtype=cols.dtype)
+        for k in range(self.num_sites):
+            parity ^= (cols >> k) & 1
+        # (-1)^popcount(x) for every bit pattern x
+        signs = 1.0 - 2.0 * parity
+        y_counts = [t.string.count("Y") for t in self.terms]
+        real = all(n_y % 2 == 0 for n_y in y_counts)
+        h = np.zeros((self.dim, self.dim), dtype=float if real else complex)
+        for t, n_y in zip(self.terms, y_counts):
+            flip, yz = _string_masks(t.string)
+            phase = (-1.0) ** (n_y // 2) * (1j if n_y % 2 else 1.0)
+            h[cols ^ flip, cols] += (t.coefficient * phase) * signs[cols & yz]
+        return h
 
     def eigensystem(self):
         """Cached (eigenvalues, eigenvectors) of the dense matrix.
 
         A real Hamiltonian (no string with an odd number of Y) gets the
-        real-symmetric ``eigh`` and real eigenvectors.
+        real-symmetric ``eigh`` and real eigenvectors.  Only the eigensystem
+        is cached: the matrix itself is built for ``eigh`` and dropped.
         """
         if self._eig is None:
             evals, evecs = np.linalg.eigh(self.dense())

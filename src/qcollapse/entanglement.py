@@ -92,26 +92,35 @@ def block_entropies(block: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _finite_diff_speed(psi, h, fd_step: float) -> float:
+def _richardson_speed(psi, h, fd_step: float) -> tuple[float, float]:
     """Central difference of the entropy with one Richardson halving.
 
-    The four offsets +-fd_step and +-fd_step/2 come from one
-    :func:`core.evolve_times` call: on the dense path, one rotation into the
-    cached eigenbasis and one matrix product back.
+    Returns the speed and the disagreement of the two levels; raises no
+    warning, so the sampling loop needs no warning filter.  The four offsets
+    +-fd_step and +-fd_step/2 come from one :func:`core.evolve_times` call:
+    on the dense path, one rotation into the cached eigenbasis and one
+    matrix product back.
     """
     half = 0.5 * fd_step
     s = block_entropies(core.evolve_times(psi, h, [fd_step, -fd_step, half, -half]))
     d_full = float(s[0] - s[1]) / (2.0 * fd_step)
     d_half = float(s[2] - s[3]) / (2.0 * half)
-    if abs(d_half - d_full) > RICHARDSON_REPORT_TOL:
+    # one Richardson halving: cancels the O(h^2) error of the central stencil
+    return (4.0 * d_half - d_full) / 3.0, abs(d_half - d_full)
+
+
+def _finite_diff_speed(psi, h, fd_step: float) -> float:
+    """:func:`_richardson_speed`, warning when its levels disagree by more
+    than ``RICHARDSON_REPORT_TOL``."""
+    speed, gap = _richardson_speed(psi, h, fd_step)
+    if gap > RICHARDSON_REPORT_TOL:
         warnings.warn(
             f"entangling-speed finite difference is step sensitive: "
-            f"levels differ by {abs(d_half - d_full):.3e}",
+            f"levels differ by {gap:.3e}",
             RuntimeWarning,
             stacklevel=3,
         )
-    # one Richardson halving: cancels the O(h^2) error of the central stencil
-    return (4.0 * d_half - d_full) / 3.0
+    return speed
 
 
 def entangling_speed(
@@ -268,23 +277,26 @@ def _sample(
     each sample and returns the state to continue from, which is how a
     trajectory substitutes a collapsed branch.  Finite differences are used
     because samples routinely pass through (near-)product states, where the
-    analytic formula would fall back anyway.
+    analytic formula would fall back anyway.  The loop calls the
+    non-warning :func:`_richardson_speed`, so it installs no warning filter
+    (``warnings.catch_warnings`` is not thread safe, and ``--jobs`` runs
+    this loop in threads).
     """
+    if fd_step <= 0.0:
+        raise ValueError("fd_step must be positive")
     times = np.arange(steps + 1) * dt
     eps = np.empty(steps + 1)
     eps_dot = np.empty(steps + 1)
     eps_ddot = np.empty(steps + 1)
     state = initial
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for k in range(steps + 1):
-            if k > 0:
-                state = core.evolve(state, h, dt)
-            eps[k] = state_entropy(state)
-            eps_dot[k] = entangling_speed(state, h, method="finite_diff", fd_step=fd_step)
-            eps_ddot[k] = entangling_acceleration(state, h, delta=accel_delta)
-            if on_sample is not None:
-                state = on_sample(float(times[k]), state, eps_dot[k])
+    for k in range(steps + 1):
+        if k > 0:
+            state = core.evolve(state, h, dt)
+        eps[k] = state_entropy(state)
+        eps_dot[k], _ = _richardson_speed(state, h, fd_step)
+        eps_ddot[k] = entangling_acceleration(state, h, delta=accel_delta)
+        if on_sample is not None:
+            state = on_sample(float(times[k]), state, eps_dot[k])
     return EntanglementTrace(times, eps, eps_dot, eps_ddot, model_tag, initial.n_env)
 
 

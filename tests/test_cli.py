@@ -254,3 +254,16 @@ def test_accel_delta_at_stencil_floor_runs(tmp_path):
                    "--set", "accel_delta=1e-8", "--out", str(out))
     assert code == 0
     assert (out / "trace_n2.csv").is_file()
+
+
+def test_parallel_sweep_leaves_warning_filters_alone(tmp_path):
+    # worker threads must not install process-wide warning filters
+    import warnings
+
+    before = list(warnings.filters)
+    for i in range(3):
+        assert run_cli(
+            "trace", "--set", "n_list=2,3,4,5", "--set", "t_max=0.4",
+            "--jobs", "2", "--out", str(tmp_path / f"o{i}"),
+        ) == 0
+        assert warnings.filters == before

@@ -74,6 +74,24 @@ def test_dense_of_empty_sum_is_real_zero():
     assert not dense.any()
 
 
+def test_operator_holds_no_dense_matrix_after_eigensystem():
+    h = core.transverse_coupled(5)
+    evals, evecs = h.eigensystem()
+    held = []
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            held.append(value)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                collect(item)
+
+    for slot in type(h).__slots__:
+        collect(getattr(h, slot, None))
+    square = [a for a in held if a.shape == (h.dim, h.dim)]
+    assert len(square) == 1 and square[0] is evecs
+
+
 # ---------------------------------------------------------------------------
 # evolve_times against stacked evolve calls
 # ---------------------------------------------------------------------------

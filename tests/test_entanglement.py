@@ -238,3 +238,22 @@ def test_first_speed_peak_finds_interior_maximum():
     tr = entanglement.EntanglementTrace(times, np.zeros(6), speed, np.zeros(6))
     k, t, v = entanglement.first_speed_peak(tr)
     assert (k, t, v) == (2, pytest.approx(0.2), pytest.approx(0.9))
+
+
+def test_trace_speed_is_the_public_finite_difference_speed():
+    # the sampling loop calls the non-warning Richardson helper directly
+    h = core.transverse_coupled(3)
+    init = core.StateVector.uniform_plus(4)
+    trace = entanglement.compute_trace(init, h, t_max=0.1, dt=0.05)
+    state = init
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for k in range(len(trace)):
+            if k > 0:
+                state = core.evolve(state, h, 0.05)
+            assert trace.epsilon_dot[k] == entanglement.entangling_speed(
+                state, h, method="finite_diff"
+            )
+    for bad in (0.0, -1e-4):
+        with pytest.raises(ValueError, match="fd_step"):
+            entanglement.compute_trace(init, h, t_max=0.1, dt=0.05, fd_step=bad)
