@@ -182,10 +182,10 @@ def _scan_tensors(amps: np.ndarray, h: core.PauliTermSum, delta: float) -> tuple
     ``sum_pq a_p conj(a_q) / c * v_pq`` with ``v_pq = e_p (x) M_q``, so only
     the four ``v_pq`` are evolved, by ``delta`` and by ``2 delta``.  Their
     increments ``X_pq = U v_pq - v_pq`` are O(delta) and keep their relative
-    precision.  Columns are evolved at unit norm (the integrator requires
-    it) and zero columns are skipped.  Returns the reduced state
-    ``rho = M M^H`` and, per offset, the (8, 8) Gram block
-    ``<X[j], X[i]>`` and the (8, 2) block ``<X[j], M_q>``, where
+    precision.  Columns are evolved at unit norm (rescaling them would move
+    the last digits of every scan) and zero columns are skipped.  Returns
+    the reduced state ``rho = M M^H`` and, per offset, the (8, 8) Gram
+    block ``<X[j], X[i]>`` and the (8, 2) block ``<X[j], M_q>``, where
     ``j = (p, q, s)`` runs over the system rows ``s`` of each ``X_pq``.
     """
     mat = amps.reshape(2, -1)
@@ -409,13 +409,11 @@ def collapse_operator(
     for term in inter:
         letter = term.string[core.SYSTEM_SITE]
         if env_state is not None:
-            env_string = term.string[1:]
-            val = complex(np.vdot(env, core._apply_string(env, env_string)))
+            vec, string = env, term.string[1:]
         else:
-            full = "I" + term.string[1:]
-            val = complex(
-                np.vdot(psi.amplitudes, core._apply_string(psi.amplitudes, full))
-            )
+            vec, string = psi.amplitudes, "I" + term.string[1:]
+        env_op = core.PauliTermSum([(1.0, string)])
+        val = complex(np.vdot(vec, core.apply_operator(env_op, vec)))
         cmat += term.coefficient * val.real * core.PAULI_MATRICES[letter]
         scale += abs(term.coefficient)
 

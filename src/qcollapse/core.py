@@ -7,25 +7,43 @@ Conventions used throughout the package:
 * amplitudes are stored with site 0 as the most significant bit, so that
   ``amps.reshape([2] * num_sites)[b0, b1, ..., bN]`` indexes per-site bits,
 * couplings and times are dimensionless (hbar = 1).
+
+Every Pauli string acts as a signed permutation of the computational basis
+(:func:`_apply_terms`, :meth:`PauliTermSum.dense`).  Time evolution takes one
+of three paths: pure phases for diagonal operators, the cached dense
+eigendecomposition up to ``EIGEN_SITE_LIMIT`` sites, and above that a
+matrix-free Lanczos propagator (Saad, SIAM J. Numer. Anal. 29, 209 (1992);
+Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 SYSTEM_SITE = 0
 
-# Dense eigendecomposition is exact and cacheable; beyond this register size
-# it stops being affordable and the fixed-step integrator takes over.
+# Largest register evolved through the cached dense eigendecomposition: up
+# to here eigh costs 40 ms or less and wins over a trace; larger non-diagonal
+# operators go through the Lanczos propagator.
+EIGEN_SITE_LIMIT = 9
+
+# Largest register dense() materializes (a 2^12 x 2^12 float64 matrix is
+# 128 MiB).
 DENSE_SITE_LIMIT = 12
 
 _NORM_ATOL = 1e-8
-_RK4_LOCAL_ERROR = 1e-12
-_RK4_NORM_GUARD = 1e-6
+
+# Lanczos propagator: at most this many basis vectors per step, grown this
+# many rows at a time; Saad's error estimate relative to the norm of the
+# start vector; steps longer than coefficient_scale() * |t| = 4 are split.
+_KRYLOV_MAX_VECTORS = 40
+_KRYLOV_CHUNK = 12
+_KRYLOV_TOL = 1e-15
+_KRYLOV_MAX_REACH = 4.0
 
 SYSTEM_ONLY = "system"
 ENV_ONLY = "environment"
@@ -40,7 +58,7 @@ PAULI_MATRICES = {
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the fixed-step integrator loses unitarity."""
+    """Raised when an evolution loses unitarity or the Krylov step fails."""
 
 
 def _num_sites_for(length: int) -> int:
@@ -204,7 +222,7 @@ class PauliTermSum:
     lazily, which makes repeated evolutions under the same operator cheap.
     """
 
-    __slots__ = ("terms", "num_sites", "_diag", "_eig")
+    __slots__ = ("terms", "num_sites", "_diag", "_eig", "_perms")
 
     def __init__(self, terms, num_sites: int | None = None):
         packed = []
@@ -239,6 +257,7 @@ class PauliTermSum:
         self.num_sites = int(num_sites)
         self._diag = None
         self._eig = None
+        self._perms = None
 
     @property
     def dim(self) -> int:
@@ -266,14 +285,10 @@ class PauliTermSum:
         if not self.is_diagonal:
             raise ValueError("operator has off-diagonal terms")
         if self._diag is None:
-            z_diag = np.array([1.0, -1.0])
-            i_diag = np.ones(2)
+            cols, signs = _sign_table(self.num_sites)
             diag = np.zeros(self.dim)
-            for t in self.terms:
-                vec = np.ones(1)
-                for ch in t.string:
-                    vec = np.kron(vec, z_diag if ch == "Z" else i_diag)
-                diag += t.coefficient * vec
+            for _, yz, coeff in self._signed_permutations():
+                diag += coeff * signs[cols & yz]
             self._diag = diag
         return self._diag
 
@@ -292,20 +307,29 @@ class PauliTermSum:
             raise ValueError(
                 f"refusing to materialize a {self.dim} x {self.dim} matrix"
             )
-        cols = np.arange(self.dim)
-        parity = np.zeros(self.dim, dtype=cols.dtype)
-        for k in range(self.num_sites):
-            parity ^= (cols >> k) & 1
-        # (-1)^popcount(x) for every bit pattern x
-        signs = 1.0 - 2.0 * parity
-        y_counts = [t.string.count("Y") for t in self.terms]
-        real = all(n_y % 2 == 0 for n_y in y_counts)
+        cols, signs = _sign_table(self.num_sites)
+        perms = self._signed_permutations()
+        real = not any(isinstance(coeff, complex) for _, _, coeff in perms)
         h = np.zeros((self.dim, self.dim), dtype=float if real else complex)
-        for t, n_y in zip(self.terms, y_counts):
-            flip, yz = _string_masks(t.string)
-            phase = (-1.0) ** (n_y // 2) * (1j if n_y % 2 else 1.0)
-            h[cols ^ flip, cols] += (t.coefficient * phase) * signs[cols & yz]
+        for flip, yz, coeff in perms:
+            h[cols ^ flip, cols] += coeff * signs[cols & yz]
         return h
+
+    def _signed_permutations(self) -> tuple:
+        """Cached ``(flip_mask, yz_mask, coefficient * i^#Y)`` per term, in order.
+
+        The scaled coefficient is a float when the string has an even number
+        of Y and complex otherwise.
+        """
+        if self._perms is None:
+            perms = []
+            for t in self.terms:
+                flip, yz = _string_masks(t.string)
+                n_y = t.string.count("Y")
+                phase = (-1.0) ** (n_y // 2) * (1j if n_y % 2 else 1.0)
+                perms.append((flip, yz, t.coefficient * phase))
+            self._perms = tuple(perms)
+        return self._perms
 
     def eigensystem(self):
         """Cached (eigenvalues, eigenvectors) of the dense matrix.
@@ -332,33 +356,39 @@ def _string_masks(string: str) -> tuple[int, int]:
     return flip, yz
 
 
-def _axis_factor(values, axis: int, ndim: int) -> np.ndarray:
-    shape = [1] * ndim
-    shape[axis] = 2
-    return np.asarray(values).reshape(shape)
-
-
-def _apply_string(amps: np.ndarray, string: str) -> np.ndarray:
-    """Apply a Pauli string to a flat amplitude array."""
-    n = len(string)
-    arr = amps.reshape([2] * n)
-    for k, ch in enumerate(string):
-        if ch == "I":
-            continue
-        if ch in ("X", "Y"):
-            arr = np.flip(arr, axis=k)
-        if ch == "Y":
-            arr = arr * _axis_factor([-1.0j, 1.0j], k, n)
-        elif ch == "Z":
-            arr = arr * _axis_factor([1.0, -1.0], k, n)
-    return np.asarray(arr).reshape(-1)
+@lru_cache(maxsize=4)
+def _sign_table(num_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only basis indices and ``(-1)^popcount(x)`` for every bit pattern x."""
+    cols = np.arange(2**num_sites)
+    parity = np.zeros(cols.size, dtype=cols.dtype)
+    for k in range(num_sites):
+        parity ^= (cols >> k) & 1
+    signs = 1.0 - 2.0 * parity
+    cols.flags.writeable = False
+    signs.flags.writeable = False
+    return cols, signs
 
 
 def _apply_terms(op: PauliTermSum, amps: np.ndarray) -> np.ndarray:
+    """H applied to a vector or to the columns of a (dim, m) block.
+
+    Term by term, in term order, each string is the signed permutation
+    ``out += (c * i^#Y) * signs[(cols ^ flip) & yz] * amps[cols ^ flip]``;
+    the gather is skipped for strings with no X/Y and the signs for strings
+    with no Y/Z, which changes no product.
+    """
+    cols, signs = _sign_table(op.num_sites)
     out = np.zeros_like(amps)
-    for t in op.terms:
-        if t.coefficient != 0.0:
-            out += t.coefficient * _apply_string(amps, t.string)
+    for flip, yz, coeff in op._signed_permutations():
+        if coeff == 0.0:
+            continue
+        idx = cols ^ flip if flip else cols
+        src = amps[idx] if flip else amps
+        if yz:
+            factor = coeff * signs[idx & yz]
+            out += (factor[:, None] if amps.ndim == 2 else factor) * src
+        else:
+            out += coeff * src
     return out
 
 
@@ -384,31 +414,64 @@ def expectation(op: PauliTermSum, psi) -> float:
     return float(val.real)
 
 
-def _rk4_steps(dt: float, scale: float) -> int:
-    if scale <= 0.0:
-        return 1
-    # local RK4 error per step ~ (scale*h)^5 / 120
-    h = (120.0 * _RK4_LOCAL_ERROR) ** 0.2 / scale
-    return max(1, int(math.ceil(abs(dt) / h)))
+def _lanczos(amps: np.ndarray, h: PauliTermSum, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t_j) amps for every t_j from one Lanczos basis, as (dim, k).
+
+    The basis is orthogonalized in full, twice per vector, and grows until
+    Saad's estimate ``beta_m |e_m^T exp(-i T_m t) e_1|`` of the error is at
+    most ``_KRYLOV_TOL`` times ``|amps|`` for every t; the small exponential
+    comes from ``eigh`` of the tridiagonal ``T_m``.  The result is one
+    (dim, m) x (m, k) product.
+    """
+    scale = float(np.linalg.norm(amps))
+    if scale == 0.0:
+        return np.zeros((amps.size, times.size), dtype=complex)
+    basis = np.empty((_KRYLOV_CHUNK, amps.size), dtype=complex)
+    basis[0] = amps / scale
+    tri = np.zeros((_KRYLOV_MAX_VECTORS, _KRYLOV_MAX_VECTORS))
+    for m in range(1, _KRYLOV_MAX_VECTORS + 1):
+        w = _apply_terms(h, basis[m - 1])
+        for _ in range(2):
+            proj = (basis[:m] @ w.conj()).conj()
+            w -= proj @ basis[:m]
+            tri[m - 1, m - 1] += proj[m - 1].real
+        beta = float(np.linalg.norm(w))
+        evals, evecs = np.linalg.eigh(tri[:m, :m])
+        coeffs = evecs @ (evecs[0][:, None] * np.exp(-1j * np.outer(evals, times)))
+        estimate = beta * float(np.max(np.abs(coeffs[-1]), initial=0.0))
+        if estimate <= _KRYLOV_TOL:
+            return scale * (basis[:m].T @ coeffs)
+        if m == _KRYLOV_MAX_VECTORS:
+            break
+        if m == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty_like(basis[:_KRYLOV_CHUNK])])
+        basis[m] = w / beta
+        tri[m, m - 1] = tri[m - 1, m] = beta
+    raise IntegrationError(
+        f"Krylov step did not converge: Lanczos error estimate {estimate:.3g} "
+        f"after {_KRYLOV_MAX_VECTORS} vectors (|t| up to {np.max(np.abs(times)):.6g})"
+    )
 
 
-def _evolve_rk4(amps: np.ndarray, h: PauliTermSum, dt: float) -> np.ndarray:
-    steps = _rk4_steps(dt, h.coefficient_scale())
-    hs = dt / steps
-    y = amps.astype(complex)
-    for _ in range(steps):
-        k1 = -1j * _apply_terms(h, y)
-        k2 = -1j * _apply_terms(h, y + 0.5 * hs * k1)
-        k3 = -1j * _apply_terms(h, y + 0.5 * hs * k2)
-        k4 = -1j * _apply_terms(h, y + hs * k3)
-        y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nrm = float(np.linalg.norm(y))
-        if abs(nrm - 1.0) > _RK4_NORM_GUARD:
-            raise IntegrationError(
-                f"integrator norm drifted to {nrm:.6g}; step size too coarse"
-            )
-        y = y / nrm
-    return y
+def _krylov_times(amps: np.ndarray, h: PauliTermSum, times) -> np.ndarray:
+    """exp(-i H t_j) amps for every t_j, as (dim, k).
+
+    All offsets share one Lanczos basis when ``coefficient_scale() * |t|``
+    is at most 4 for each; otherwise every offset is reached on its own by
+    equal substeps that each stay within that bound.
+    """
+    times = np.asarray(times, dtype=float)
+    scale = h.coefficient_scale()
+    if scale * np.max(np.abs(times), initial=0.0) <= _KRYLOV_MAX_REACH:
+        return _lanczos(amps, h, times)
+    cols = []
+    for t in times:
+        steps = math.ceil(scale * abs(t) / _KRYLOV_MAX_REACH)
+        col = amps
+        for _ in range(steps):
+            col = _lanczos(col, h, np.array([t / steps]))[:, 0]
+        cols.append(col)
+    return np.column_stack(cols)
 
 
 def _to_eigenbasis(evecs: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -448,9 +511,9 @@ def _path(h: PauliTermSum, method: str) -> str:
         return method
     if h.is_diagonal:
         return "diagonal"
-    if h.num_sites <= DENSE_SITE_LIMIT:
+    if h.num_sites <= EIGEN_SITE_LIMIT:
         return "dense"
-    return "rk4"
+    return "krylov"
 
 
 def _evolve_block(block: np.ndarray, h: PauliTermSum, dt: float, method: str) -> np.ndarray:
@@ -464,10 +527,10 @@ def _evolve_block(block: np.ndarray, h: PauliTermSum, dt: float, method: str) ->
         rotated = _to_eigenbasis(evecs, block)
         rotated *= phases[:, None] if block.ndim == 2 else phases
         return _from_eigenbasis(evecs, rotated)
-    if method == "rk4":
+    if method == "krylov":
         if block.ndim == 1:
-            return _evolve_rk4(block, h, dt)
-        return np.column_stack([_evolve_rk4(col, h, dt) for col in block.T])
+            return _krylov_times(block, h, [dt])[:, 0]
+        return np.column_stack([_krylov_times(col, h, [dt])[:, 0] for col in block.T])
     raise ValueError(f"unknown evolution method {method!r}")
 
 
@@ -482,13 +545,15 @@ def evolve(psi: StateVector, h: PauliTermSum, dt: float, method: str = "auto") -
     """exp(-i H dt) |psi>.
 
     Diagonal operators are advanced by pure phases; other operators use a
-    cached dense eigendecomposition up to ``DENSE_SITE_LIMIT`` sites and a
-    fixed-step 4th-order integrator beyond that.  On the dense path the
+    cached dense eigendecomposition up to ``EIGEN_SITE_LIMIT`` sites and a
+    matrix-free Lanczos propagator beyond that.  On the dense path the
     state is rotated into the eigenbasis and back by real GEMMs when the
     eigenvectors are real, so the d x d matrix is neither copied nor cast.
-    The integrator's step is chosen so the local error stays below 1e-12
-    and every step renormalizes; drift beyond 1e-6 raises
-    :class:`IntegrationError` instead of passing silently.
+    The Lanczos basis grows until Saad's a-posteriori error estimate is at
+    most 1e-15 of the state's norm, and evolutions with
+    ``coefficient_scale() * |dt| > 4`` are split into equal substeps; a
+    step that does not converge within 40 basis vectors raises
+    :class:`IntegrationError`, as does a norm drift beyond 1e-10.
     """
     _check_operands(psi, h)
     if not math.isfinite(dt):
@@ -506,9 +571,11 @@ def evolve_times(psi: StateVector, h: PauliTermSum, times) -> np.ndarray:
     The paths are those of :func:`evolve`, batched over the offsets: the
     diagonal path multiplies by a (dim, k) table of phases, the dense path
     rotates ``psi`` into the cached eigenbasis once and rotates all k phased
-    copies back in one matrix product, and above ``DENSE_SITE_LIMIT`` the
-    integrator runs once per offset.  Every column is renormalized; a column
-    whose norm drifted by more than 1e-10 raises :class:`IntegrationError`.
+    copies back in one matrix product, and above ``EIGEN_SITE_LIMIT`` one
+    Lanczos basis at ``psi`` serves every offset through one (dim, m) x
+    (m, k) product (offsets beyond ``coefficient_scale() * |t| = 4`` are
+    substepped one by one).  Every column is renormalized; a column whose
+    norm drifted by more than 1e-10 raises :class:`IntegrationError`.
     """
     _check_operands(psi, h)
     times = np.asarray(times, dtype=float).ravel()
@@ -523,7 +590,7 @@ def evolve_times(psi: StateVector, h: PauliTermSum, times) -> np.ndarray:
         coeffs = _to_eigenbasis(evecs, amps)
         out = _from_eigenbasis(evecs, coeffs[:, None] * np.exp(-1j * np.outer(evals, times)))
     else:
-        out = np.column_stack([_evolve_rk4(amps, h, t) for t in times])
+        out = _krylov_times(amps, h, times)
     # per-column BLAS norms: an axis reduction sums sequentially, and its
     # roundoff, different in every column, would leak into the stencils'
     # entropy differences

@@ -1,0 +1,72 @@
+"""Slow propagation routes kept as oracles for the fast ones in ``core``.
+
+* ``apply_string_flip`` / ``apply_terms_flip``: the Pauli apply that walked
+  the sites of a ``[2] * n`` view, flipping an axis for every X/Y and
+  multiplying by a per-axis factor for every Y/Z;
+* ``evolve_rk4``: the fixed-step 4th-order Runge-Kutta integrator over that
+  apply, with the step chosen for a local error of about 1e-12 and a
+  renormalization after every step.
+"""
+
+import math
+
+import numpy as np
+
+RK4_LOCAL_ERROR = 1e-12
+RK4_NORM_GUARD = 1e-6
+
+
+def _axis_factor(values, axis, ndim):
+    shape = [1] * ndim
+    shape[axis] = 2
+    return np.asarray(values).reshape(shape)
+
+
+def apply_string_flip(amps, string):
+    """Apply one Pauli string to a flat amplitude array."""
+    n = len(string)
+    arr = amps.reshape([2] * n)
+    for k, ch in enumerate(string):
+        if ch == "I":
+            continue
+        if ch in ("X", "Y"):
+            arr = np.flip(arr, axis=k)
+        if ch == "Y":
+            arr = arr * _axis_factor([-1.0j, 1.0j], k, n)
+        elif ch == "Z":
+            arr = arr * _axis_factor([1.0, -1.0], k, n)
+    return np.asarray(arr).reshape(-1)
+
+
+def apply_terms_flip(op, amps):
+    out = np.zeros_like(amps)
+    for t in op.terms:
+        if t.coefficient != 0.0:
+            out += t.coefficient * apply_string_flip(amps, t.string)
+    return out
+
+
+def rk4_steps(dt, scale):
+    if scale <= 0.0:
+        return 1
+    # local RK4 error per step ~ (scale*h)^5 / 120
+    h = (120.0 * RK4_LOCAL_ERROR) ** 0.2 / scale
+    return max(1, int(math.ceil(abs(dt) / h)))
+
+
+def evolve_rk4(amps, h, dt):
+    """exp(-i H dt) amps by fixed-step RK4; raises on a norm drift past 1e-6."""
+    steps = rk4_steps(dt, h.coefficient_scale())
+    hs = dt / steps
+    y = np.asarray(amps).astype(complex)
+    for _ in range(steps):
+        k1 = -1j * apply_terms_flip(h, y)
+        k2 = -1j * apply_terms_flip(h, y + 0.5 * hs * k1)
+        k3 = -1j * apply_terms_flip(h, y + 0.5 * hs * k2)
+        k4 = -1j * apply_terms_flip(h, y + hs * k3)
+        y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        nrm = float(np.linalg.norm(y))
+        if abs(nrm - 1.0) > RK4_NORM_GUARD:
+            raise RuntimeError(f"integrator norm drifted to {nrm:.6g}")
+        y = y / nrm
+    return y

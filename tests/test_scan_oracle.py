@@ -132,7 +132,7 @@ def test_rk4_path_above_dense_limit_matches_explicit_route():
     # unit-norm columns; a system in |0> makes two of them exactly zero
     n = 12
     h = core.transverse_coupled(n)
-    assert core._path(h, "auto") == "rk4"
+    assert core._path(h, "auto") == "krylov"
     for psi in (
         tilted_initial(n, 0.6),
         core.StateVector.from_site_states([core.spin_state(0.0)] + [core.spin_state(0.6)] * n),
