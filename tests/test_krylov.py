@@ -7,12 +7,17 @@ stays the path up to ``core.EIGEN_SITE_LIMIT`` sites.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from propagation_oracles import apply_string_flip, apply_terms_flip, evolve_rk4
+import qcollapse
 from qcollapse import cli, collapse, core, entanglement
 from test_dense_path import DENSE_CASES, kron_oracle, random_state, tilted_product
 
@@ -190,6 +195,25 @@ def test_long_evolution_substeps_and_matches_dense_path(rng, monkeypatch):
         assert np.max(np.abs(out[:, j] - dense)) <= 1e-13
 
 
+@pytest.mark.parametrize("scale", [1e-3, 30.0, 1e3])
+def test_krylov_stopping_test_does_not_depend_on_operator_scale(rng, scale):
+    # the same physics as transverse_coupled(9) with H -> scale * H, t -> t / scale
+    base = core.transverse_coupled(9)
+    h = core.build_hamiltonian(
+        "custom", terms=[(scale * t.coefficient, t.string) for t in base.terms]
+    )
+    psi = random_state(rng, 10)
+    for t in (0.02, 0.3, 3.0):
+        krylov = core.evolve(psi, h, t / scale, method="krylov").amplitudes
+        dense = core.evolve(psi, h, t / scale, method="dense").amplitudes
+        assert np.max(np.abs(krylov - dense)) <= 1e-13
+    offsets = [t / scale for t in STENCIL_OFFSETS]
+    dense = np.column_stack(
+        [core.evolve(psi, h, t, method="dense").amplitudes for t in offsets]
+    )
+    assert np.max(np.abs(core.evolve_times(psi, h, offsets) - dense)) <= 1e-13
+
+
 def test_krylov_matches_rk4_oracle_above_dense_limit(rng):
     h = core.transverse_coupled(12)
     psi = random_state(rng, 13)
@@ -273,6 +297,25 @@ def test_trace_speed_matches_analytic_speed_along_ten_site_run():
             worst = max(worst, abs(trace.epsilon_dot[k] - analytic))
             state = core.evolve(state, h, dt)
     assert worst <= 1e-10
+
+
+def test_trace_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # holds at 10 and 13 sites; at 16 sites OpenBLAS splits the Lanczos
+    # projections and the norm guards across threads and the digits move
+    src = str(Path(qcollapse.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    payloads = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "qcollapse.cli", "trace", "--set", "n_list=9,12",
+             "--set", "t_max=0.1", "--out", str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath),
+            check=True, stdout=subprocess.DEVNULL, timeout=120,
+        )
+        payloads.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(payloads[0]) == ["trace_n12.csv", "trace_n9.csv", "trace_summary.csv"]
+    assert payloads[0] == payloads[1]
 
 
 # ---------------------------------------------------------------------------
