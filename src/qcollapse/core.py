@@ -13,14 +13,16 @@ Every Pauli string acts as a signed permutation of the computational basis
 of three paths: pure phases for diagonal operators, the cached dense
 eigendecomposition up to ``EIGEN_SITE_LIMIT`` sites, and above that a
 matrix-free Lanczos propagator (Saad, SIAM J. Numer. Anal. 29, 209 (1992);
-Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).
+Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).  A
+:class:`Propagator` serves many evolutions of one state from one eigenbasis
+rotation or one Lanczos basis, with the bits of separate calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -28,10 +30,12 @@ SYSTEM_SITE = 0
 
 # Largest register evolved through the cached dense eigendecomposition;
 # larger non-diagonal operators go through the Lanczos propagator.  A
-# 51-sample `trace` (t_max=1, one BLAS thread, 2-vCPU x86_64 VM) takes
-# 50 ms dense against 180 ms Lanczos at 8 sites, 133 against 212 ms at 9
-# and 562 against 361 ms at 10; at 9 sites Lanczos is ahead only on traces
-# shorter than about 10 samples (t_max=0.1: 33 against 43 ms).
+# 51-sample `trace` (t_max=1, eigh included, one BLAS thread, 2-vCPU x86_64
+# VM, medians of 3 in two runs) takes 36-39 ms dense against 125 ms
+# Lanczos at 8 sites, 123-125 against 128-143 ms at 9 and 496-526 against
+# 142-190 ms at 10.  At 9 sites Lanczos is level on that trace and ahead on
+# shorter ones (t_max=0.6: 83 against 90 ms; t_max=0.3: 44 against 62 ms);
+# the limit stays at 9 because moving it would move 9-site payloads.
 EIGEN_SITE_LIMIT = 9
 
 # Largest register dense() materializes (a 2^12 x 2^12 float64 matrix is
@@ -418,65 +422,103 @@ def expectation(op: PauliTermSum, psi) -> float:
     return float(val.real)
 
 
-def _lanczos(amps: np.ndarray, h: PauliTermSum, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t_j) amps for every t_j from one Lanczos basis, as (dim, k).
+class _LanczosBasis:
+    """The Lanczos basis of one vector under H, grown only as far as asked.
 
-    The basis is orthogonalized in full, twice per vector, and grows until
-    Saad's estimate ``beta_m |t| |e_m^T exp(-i T_m t) e_1|`` of the error is
-    at most ``_KRYLOV_TOL`` times ``|amps|`` for every t; the small
-    exponential comes from ``eigh`` of the tridiagonal ``T_m``.  The
+    The basis is orthogonalized in full, twice per vector.  A query for the
+    offsets ``times`` takes the smallest size m at which Saad's estimate
+    ``beta_m |t| |e_m^T exp(-i T_m t) e_1|`` of the error is at most
+    ``_KRYLOV_TOL`` times ``|amps|`` for every t, growing the basis by one
+    operator apply per size it has not reached yet; the small exponential
+    comes from ``eigh`` of the tridiagonal ``T_m``, kept per size.  The
     estimate is that of the scaled operator ``-i H t``: ``beta_m`` carries
     the units of H, and ``beta_m |t| <= coefficient_scale() |t| <= 4``
     keeps it above the roundoff of the small exponential whatever the
-    operator's scale.  The result is one (dim, m) x (m, k) product.
+    operator's scale.  A query's answer, one (dim, m) x (m, k) product,
+    therefore does not depend on what was asked before it, while every
+    apply is paid once.
     """
-    scale = float(np.linalg.norm(amps))
-    if scale == 0.0:
-        return np.zeros((amps.size, times.size), dtype=complex)
-    basis = np.empty((_KRYLOV_CHUNK, amps.size), dtype=complex)
-    basis[0] = amps / scale
-    tri = np.zeros((_KRYLOV_MAX_VECTORS, _KRYLOV_MAX_VECTORS))
-    for m in range(1, _KRYLOV_MAX_VECTORS + 1):
-        w = _apply_terms(h, basis[m - 1])
+
+    __slots__ = ("h", "dim", "scale", "vectors", "tri", "betas", "spectra", "_residual")
+
+    def __init__(self, amps: np.ndarray, h: PauliTermSum):
+        self.h = h
+        self.dim = amps.size
+        self.scale = float(np.linalg.norm(amps))
+        self.betas = []  # beta_m, the norm of the residual after m applies
+        self.spectra = []  # eigh(T_m)
+        if self.scale != 0.0:
+            self.vectors = np.empty((_KRYLOV_CHUNK, amps.size), dtype=complex)
+            self.vectors[0] = amps / self.scale
+            self.tri = np.zeros((_KRYLOV_MAX_VECTORS, _KRYLOV_MAX_VECTORS))
+
+    def _grow(self) -> None:
+        """One operator apply: the basis goes from m - 1 to m vectors."""
+        m = len(self.betas) + 1
+        if m > 1:
+            beta = self.betas[-1]
+            if m - 1 == self.vectors.shape[0]:
+                self.vectors = np.concatenate(
+                    [self.vectors, np.empty_like(self.vectors[:_KRYLOV_CHUNK])]
+                )
+            self.vectors[m - 1] = self._residual / beta
+            self.tri[m - 1, m - 2] = self.tri[m - 2, m - 1] = beta
+        basis = self.vectors[:m]
+        w = _apply_terms(self.h, basis[m - 1])
         for _ in range(2):
-            proj = (basis[:m] @ w.conj()).conj()
-            w -= proj @ basis[:m]
-            tri[m - 1, m - 1] += proj[m - 1].real
-        beta = float(np.linalg.norm(w))
-        evals, evecs = np.linalg.eigh(tri[:m, :m])
-        coeffs = evecs @ (evecs[0][:, None] * np.exp(-1j * np.outer(evals, times)))
-        estimate = beta * float(np.max(np.abs(times * coeffs[-1]), initial=0.0))
-        if estimate <= _KRYLOV_TOL:
-            return scale * (basis[:m].T @ coeffs)
-        if m == _KRYLOV_MAX_VECTORS:
-            break
-        if m == basis.shape[0]:
-            basis = np.concatenate([basis, np.empty_like(basis[:_KRYLOV_CHUNK])])
-        basis[m] = w / beta
-        tri[m, m - 1] = tri[m - 1, m] = beta
-    raise IntegrationError(
-        f"Krylov step did not converge: Lanczos error estimate {estimate:.3g} "
-        f"after {_KRYLOV_MAX_VECTORS} vectors (|t| up to {np.max(np.abs(times)):.6g})"
-    )
+            proj = (basis @ w.conj()).conj()
+            w -= proj @ basis
+            self.tri[m - 1, m - 1] += proj[m - 1].real
+        self.betas.append(float(np.linalg.norm(w)))
+        self.spectra.append(np.linalg.eigh(self.tri[:m, :m]))
+        self._residual = w
+
+    def propagate(self, times: np.ndarray) -> np.ndarray:
+        """exp(-i H t_j) amps for every t_j, as (dim, k)."""
+        if self.scale == 0.0:
+            return np.zeros((self.dim, times.size), dtype=complex)
+        for m in range(1, _KRYLOV_MAX_VECTORS + 1):
+            if m > len(self.betas):
+                self._grow()
+            evals, evecs = self.spectra[m - 1]
+            coeffs = evecs @ (evecs[0][:, None] * np.exp(-1j * np.outer(evals, times)))
+            estimate = self.betas[m - 1] * float(np.max(np.abs(times * coeffs[-1]), initial=0.0))
+            if estimate <= _KRYLOV_TOL:
+                return self.scale * (self.vectors[:m].T @ coeffs)
+        raise IntegrationError(
+            f"Krylov step did not converge: Lanczos error estimate {estimate:.3g} "
+            f"after {_KRYLOV_MAX_VECTORS} vectors (|t| up to {np.max(np.abs(times)):.6g})"
+        )
 
 
-def _krylov_times(amps: np.ndarray, h: PauliTermSum, times) -> np.ndarray:
+def _lanczos(amps: np.ndarray, h: PauliTermSum, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t_j) amps for every t_j from a fresh Lanczos basis, as (dim, k)."""
+    return _LanczosBasis(amps, h).propagate(times)
+
+
+def _krylov_times(amps: np.ndarray, h: PauliTermSum, times, lanczos=None) -> np.ndarray:
     """exp(-i H t_j) amps for every t_j, as (dim, k).
 
-    All offsets share one Lanczos basis when ``coefficient_scale() * |t|``
-    is at most 4 for each; otherwise every offset is reached on its own by
-    equal substeps that each stay within that bound.
+    ``lanczos(times)`` evolves ``amps`` itself from one Lanczos basis: a
+    fresh :func:`_lanczos` call unless a :class:`Propagator` passes the
+    basis it keeps.  All offsets share that basis when
+    ``coefficient_scale() * |t|`` is at most 4 for each; otherwise every
+    offset is reached on its own by equal substeps that each stay within
+    that bound, the first from ``lanczos`` and the rest from fresh bases.
     """
     times = np.asarray(times, dtype=float)
+    if lanczos is None:
+        lanczos = partial(_lanczos, amps, h)
     scale = h.coefficient_scale()
     if scale * np.max(np.abs(times), initial=0.0) <= _KRYLOV_MAX_REACH:
-        return _lanczos(amps, h, times)
+        return lanczos(times)
     cols = []
     for t in times:
         steps = math.ceil(scale * abs(t) / _KRYLOV_MAX_REACH)
         col = amps
-        for _ in range(steps):
-            col = _lanczos(col, h, np.array([t / steps]))[:, 0]
+        for j in range(steps):
+            sub = np.array([t / steps])
+            col = (lanczos(sub) if j == 0 else _lanczos(col, h, sub))[:, 0]
         cols.append(col)
     return np.column_stack(cols)
 
@@ -548,6 +590,32 @@ def _check_operands(psi: StateVector, h: PauliTermSum) -> None:
         )
 
 
+def _finite_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float).ravel()
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    return times
+
+
+def _unit_state(out: np.ndarray) -> StateVector:
+    nrm = float(np.linalg.norm(out))
+    if abs(nrm - 1.0) > 1e-10:
+        raise IntegrationError(f"evolution drifted the norm to {nrm:.12g}")
+    return StateVector(out / nrm)
+
+
+def _unit_columns(out: np.ndarray) -> np.ndarray:
+    # per-column BLAS norms: an axis reduction sums sequentially, and its
+    # roundoff, different in every column, would leak into the stencils'
+    # entropy differences
+    nrm = np.array([np.linalg.norm(col) for col in out.T])
+    drift = np.abs(nrm - 1.0)
+    if np.any(drift > 1e-10):
+        worst = nrm[int(np.argmax(drift))]
+        raise IntegrationError(f"evolution drifted the norm to {worst:.12g}")
+    return out / nrm
+
+
 def evolve(psi: StateVector, h: PauliTermSum, dt: float, method: str = "auto") -> StateVector:
     """exp(-i H dt) |psi>.
 
@@ -560,16 +628,15 @@ def evolve(psi: StateVector, h: PauliTermSum, dt: float, method: str = "auto") -
     ``-i H dt`` is at most 1e-15 of the state's norm, and evolutions with
     ``coefficient_scale() * |dt| > 4`` are split into equal substeps; a
     step that does not converge within 40 basis vectors raises
-    :class:`IntegrationError`, as does a norm drift beyond 1e-10.
+    :class:`IntegrationError`, as does a norm drift beyond 1e-10.  A step
+    that shares its state with other evolutions, as the sampling loop's
+    step shares it with the entropy stencils, is cheaper through
+    :meth:`Propagator.evolve`, which returns the same bits.
     """
     _check_operands(psi, h)
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
-    out = _evolve_block(psi.amplitudes, h, dt, method)
-    nrm = float(np.linalg.norm(out))
-    if abs(nrm - 1.0) > 1e-10:
-        raise IntegrationError(f"evolution drifted the norm to {nrm:.12g}")
-    return StateVector(out / nrm)
+    return _unit_state(_evolve_block(psi.amplitudes, h, dt, method))
 
 
 def evolve_times(psi: StateVector, h: PauliTermSum, times) -> np.ndarray:
@@ -583,30 +650,64 @@ def evolve_times(psi: StateVector, h: PauliTermSum, times) -> np.ndarray:
     (m, k) product (offsets beyond ``coefficient_scale() * |t| = 4`` are
     substepped one by one).  Every column is renormalized; a column whose
     norm drifted by more than 1e-10 raises :class:`IntegrationError`.
+    It answers what one query on a fresh :class:`Propagator` answers; the
+    sampling loop keeps one propagator per sampled state, so that the step
+    to the next sample and both entropy stencils share one basis.
     """
-    _check_operands(psi, h)
-    times = np.asarray(times, dtype=float).ravel()
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
-    amps = psi.amplitudes
-    method = _path(h, "auto")
-    if method == "diagonal":
-        out = amps[:, None] * np.exp(-1j * np.outer(h.diagonal(), times))
-    elif method == "dense":
-        evals, evecs = h.eigensystem()
-        coeffs = _to_eigenbasis(evecs, amps)
-        out = _from_eigenbasis(evecs, coeffs[:, None] * np.exp(-1j * np.outer(evals, times)))
-    else:
-        out = _krylov_times(amps, h, times)
-    # per-column BLAS norms: an axis reduction sums sequentially, and its
-    # roundoff, different in every column, would leak into the stencils'
-    # entropy differences
-    nrm = np.array([np.linalg.norm(col) for col in out.T])
-    drift = np.abs(nrm - 1.0)
-    if np.any(drift > 1e-10):
-        worst = nrm[int(np.argmax(drift))]
-        raise IntegrationError(f"evolution drifted the norm to {worst:.12g}")
-    return out / nrm
+    prop = Propagator(psi, h)
+    if prop.method != "krylov":
+        return prop.evolve_times(times)
+    # one query: a fresh basis, built and dropped by `_lanczos`
+    return _unit_columns(_krylov_times(psi.amplitudes, h, _finite_times(times)))
+
+
+class Propagator:
+    """exp(-i H t) |psi> for any number of queries at one state.
+
+    What the queries share is computed once, on first use: on the dense
+    path the state's coefficients in the cached eigenbasis, above
+    ``EIGEN_SITE_LIMIT`` one Lanczos basis, grown only as far as the
+    hardest query so far has needed.  Each answer equals, bit for bit, the
+    one-off :func:`evolve_times` or :func:`evolve` call it stands for:
+    every query takes the smallest basis that converges for its own
+    offsets, and every dense product keeps the width of that call.  A
+    propagator holds its state and operator and nothing else, so it lives
+    only as long as the caller keeps it; there is no cache beyond it.
+    """
+
+    __slots__ = ("psi", "h", "method", "_coeffs", "_basis")
+
+    def __init__(self, psi: StateVector, h: PauliTermSum):
+        _check_operands(psi, h)
+        self.psi = psi
+        self.h = h
+        self.method = _path(h, "auto")
+        self._coeffs = None  # dense path: psi in the cached eigenbasis
+        self._basis = None  # Krylov path: the Lanczos basis at psi
+
+    def _block(self, times: np.ndarray) -> np.ndarray:
+        amps = self.psi.amplitudes
+        if self.method == "diagonal":
+            return amps[:, None] * np.exp(-1j * np.outer(self.h.diagonal(), times))
+        if self.method == "dense":
+            evals, evecs = self.h.eigensystem()
+            if self._coeffs is None:
+                self._coeffs = _to_eigenbasis(evecs, amps)
+            phases = np.exp(-1j * np.outer(evals, times))
+            return _from_eigenbasis(evecs, self._coeffs[:, None] * phases)
+        if self._basis is None:
+            self._basis = _LanczosBasis(amps, self.h)
+        return _krylov_times(amps, self.h, times, self._basis.propagate)
+
+    def evolve_times(self, times) -> np.ndarray:
+        """:func:`evolve_times` at this propagator's state."""
+        return _unit_columns(self._block(_finite_times(times)))
+
+    def evolve(self, dt: float) -> StateVector:
+        """:func:`evolve` at this propagator's state, by the automatic path."""
+        if not math.isfinite(dt):
+            raise ValueError("dt must be finite")
+        return _unit_state(self._block(np.array([float(dt)]))[:, 0])
 
 
 def evolve_many(block: np.ndarray, h: PauliTermSum, dt: float, method: str = "auto") -> np.ndarray:

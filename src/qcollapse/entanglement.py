@@ -92,17 +92,18 @@ def block_entropies(block: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _richardson_speed(psi, h, fd_step: float) -> tuple[float, float]:
+def _richardson_speed(prop: core.Propagator, fd_step: float) -> tuple[float, float]:
     """Central difference of the entropy with one Richardson halving.
 
-    Returns the speed and the disagreement of the two levels; raises no
-    warning, so the sampling loop needs no warning filter.  The four offsets
-    +-fd_step and +-fd_step/2 come from one :func:`core.evolve_times` call:
-    on the dense path, one rotation into the cached eigenbasis and one
-    matrix product back.
+    Returns the speed at ``prop.psi`` and the disagreement of the two
+    levels; raises no warning, so the sampling loop needs no warning
+    filter.  The four offsets +-fd_step and +-fd_step/2 come from one query
+    on the state's propagator: on the dense path one matrix product back
+    from the eigenbasis, above ``core.EIGEN_SITE_LIMIT`` the state's
+    Lanczos basis.
     """
     half = 0.5 * fd_step
-    s = block_entropies(core.evolve_times(psi, h, [fd_step, -fd_step, half, -half]))
+    s = block_entropies(prop.evolve_times([fd_step, -fd_step, half, -half]))
     d_full = float(s[0] - s[1]) / (2.0 * fd_step)
     d_half = float(s[2] - s[3]) / (2.0 * half)
     # one Richardson halving: cancels the O(h^2) error of the central stencil
@@ -112,7 +113,7 @@ def _richardson_speed(psi, h, fd_step: float) -> tuple[float, float]:
 def _finite_diff_speed(psi, h, fd_step: float) -> float:
     """:func:`_richardson_speed`, warning when its levels disagree by more
     than ``RICHARDSON_REPORT_TOL``."""
-    speed, gap = _richardson_speed(psi, h, fd_step)
+    speed, gap = _richardson_speed(core.Propagator(psi, h), fd_step)
     if gap > RICHARDSON_REPORT_TOL:
         warnings.warn(
             f"entangling-speed finite difference is step sensitive: "
@@ -166,6 +167,13 @@ def entangling_speed(
     return float(-np.sum(lam_dots * np.log(lams)))
 
 
+def _check_accel_step(delta: float) -> None:
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    if delta < MIN_ACCEL_STEP:
+        raise ValueError("delta underflows the second-difference stencil")
+
+
 def entangling_acceleration(
     psi: core.StateVector,
     h: core.PauliTermSum,
@@ -175,19 +183,21 @@ def entangling_acceleration(
 
     At a product state both the entropy and its first derivative vanish, so
     the one-sided stencil (eps(2d) - 2 eps(d)) / d^2 applies; elsewhere the
-    symmetric second difference is used.  Both offsets come from one
-    :func:`core.evolve_times` call.  ``delta`` must be at least
+    symmetric second difference is used.  Both offsets come from one query
+    on a :class:`core.Propagator`.  ``delta`` must be at least
     ``MIN_ACCEL_STEP``.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if delta < MIN_ACCEL_STEP:
-        raise ValueError("delta underflows the second-difference stencil")
-    eps0 = state_entropy(psi)
+    _check_accel_step(delta)
+    return _acceleration(core.Propagator(psi, h), delta, state_entropy(psi))
+
+
+def _acceleration(prop: core.Propagator, delta: float, eps0: float) -> float:
+    """:func:`entangling_acceleration` at ``prop.psi``, whose entropy is
+    ``eps0``, from one query on the state's propagator."""
     if eps0 < 1e-9:
-        e1, e2 = block_entropies(core.evolve_times(psi, h, [delta, 2.0 * delta]))
+        e1, e2 = block_entropies(prop.evolve_times([delta, 2.0 * delta]))
         return float(e2 - 2.0 * e1) / delta**2
-    e_plus, e_minus = block_entropies(core.evolve_times(psi, h, [delta, -delta]))
+    e_plus, e_minus = block_entropies(prop.evolve_times([delta, -delta]))
     return float(e_plus - 2.0 * eps0 + e_minus) / delta**2
 
 
@@ -271,32 +281,40 @@ def _sample(
     :func:`collapse.run_trajectory`.
 
     Samples entropy, finite-difference speed and acceleration at
-    ``k * dt`` for ``k = 0 .. steps``, advancing the state by
-    ``core.evolve(state, h, dt)`` between samples.
-    ``on_sample(t, state, epsilon_dot)`` runs after
-    each sample and returns the state to continue from, which is how a
-    trajectory substitutes a collapsed branch.  Finite differences are used
-    because samples routinely pass through (near-)product states, where the
-    analytic formula would fall back anyway.  The loop calls the
-    non-warning :func:`_richardson_speed`, so it installs no warning filter
-    (``warnings.catch_warnings`` is not thread safe, and ``--jobs`` runs
-    this loop in threads).
+    ``k * dt`` for ``k = 0 .. steps``.  Each sampled state gets one
+    :class:`core.Propagator`, which serves the speed's four offsets, the
+    acceleration's two and the step ``dt`` to the next sample: above
+    ``core.EIGEN_SITE_LIMIT`` from one Lanczos basis, on the dense path
+    from one rotation into the eigenbasis.  Every value equals, bit for bit,
+    that of ``core.evolve(state, h, dt)`` followed by the public
+    finite-difference speed and :func:`entangling_acceleration`.
+    ``on_sample(t, state, epsilon_dot)`` runs after each sample and returns
+    the state to continue from, which is how a trajectory substitutes a
+    collapsed branch; a new state gets a new propagator.  Finite
+    differences are used because samples routinely pass through
+    (near-)product states, where the analytic formula would fall back
+    anyway.  The loop calls the non-warning :func:`_richardson_speed`, so
+    it installs no warning filter (``warnings.catch_warnings`` is not
+    thread safe, and ``--jobs`` runs this loop in threads).
     """
     if fd_step <= 0.0:
         raise ValueError("fd_step must be positive")
+    _check_accel_step(accel_delta)
     times = np.arange(steps + 1) * dt
     eps = np.empty(steps + 1)
     eps_dot = np.empty(steps + 1)
     eps_ddot = np.empty(steps + 1)
-    state = initial
+    prop = core.Propagator(initial, h)
     for k in range(steps + 1):
         if k > 0:
-            state = core.evolve(state, h, dt)
-        eps[k] = state_entropy(state)
-        eps_dot[k], _ = _richardson_speed(state, h, fd_step)
-        eps_ddot[k] = entangling_acceleration(state, h, delta=accel_delta)
+            prop = core.Propagator(prop.evolve(dt), h)
+        eps[k] = state_entropy(prop.psi)
+        eps_dot[k], _ = _richardson_speed(prop, fd_step)
+        eps_ddot[k] = _acceleration(prop, accel_delta, eps[k])
         if on_sample is not None:
-            state = on_sample(float(times[k]), state, eps_dot[k])
+            state = on_sample(float(times[k]), prop.psi, eps_dot[k])
+            if state is not prop.psi:
+                prop = core.Propagator(state, h)
     return EntanglementTrace(times, eps, eps_dot, eps_ddot, model_tag, initial.n_env)
 
 

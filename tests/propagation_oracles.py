@@ -5,12 +5,18 @@
   multiplying by a per-axis factor for every Y/Z;
 * ``evolve_rk4``: the fixed-step 4th-order Runge-Kutta integrator over that
   apply, with the step chosen for a local error of about 1e-12 and a
-  renormalization after every step.
+  renormalization after every step;
+* ``sample_per_call``: the sampling loop that evolved its state afresh for
+  the step and for each stencil, through ``core.evolve`` and the public
+  finite-difference speed and acceleration.
 """
 
 import math
+import warnings
 
 import numpy as np
+
+from qcollapse import core, entanglement
 
 RK4_LOCAL_ERROR = 1e-12
 RK4_NORM_GUARD = 1e-6
@@ -70,3 +76,31 @@ def evolve_rk4(amps, h, dt):
             raise RuntimeError(f"integrator norm drifted to {nrm:.6g}")
         y = y / nrm
     return y
+
+
+def sample_per_call(initial, h, dt, steps, fd_step, accel_delta, model_tag, on_sample=None):
+    """``entanglement._sample`` by one public call per quantity and sample.
+
+    Above ``core.EIGEN_SITE_LIMIT`` this builds three Lanczos bases per
+    sample (the step, the speed, the acceleration), and on the dense path
+    three rotations into the eigenbasis.
+    """
+    times = np.arange(steps + 1) * dt
+    eps, eps_dot, eps_ddot = (np.empty(steps + 1) for _ in range(3))
+    state = initial
+    for k in range(steps + 1):
+        if k > 0:
+            state = core.evolve(state, h, dt)
+        eps[k] = entanglement.state_entropy(state)
+        with warnings.catch_warnings():
+            # the public speed warns where the Richardson levels disagree
+            warnings.simplefilter("ignore", RuntimeWarning)
+            eps_dot[k] = entanglement.entangling_speed(
+                state, h, method="finite_diff", fd_step=fd_step
+            )
+        eps_ddot[k] = entanglement.entangling_acceleration(state, h, delta=accel_delta)
+        if on_sample is not None:
+            state = on_sample(float(times[k]), state, eps_dot[k])
+    return entanglement.EntanglementTrace(
+        times, eps, eps_dot, eps_ddot, model_tag, initial.n_env
+    )
