@@ -13,7 +13,9 @@ well conditioned regardless of how extreme the SI scales are; everything
 physical is recovered by back-scaling.
 
 Ai and Ai' come from ``scipy.special.airy``; the finite-difference
-eigensolver below is the independent route to the same packet.
+eigensolver below is the independent route to the same packet.  Each
+function imports the scipy module it calls when it is called, so importing
+this module (and the package, and its CLI) loads no scipy.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, special
-from scipy.linalg import solve_banded
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
@@ -44,6 +44,8 @@ def _airy_pair(x) -> tuple[np.ndarray, np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("argument must be finite")
+    from scipy import special
+
     ai, aip, _, _ = special.airy(arr)
     return ai, aip, arr.ndim == 0
 
@@ -74,6 +76,8 @@ def airy_ai_prime(x):
 def vee_ground_level() -> float:
     """Ground level of -chi'' + |zeta| chi = E chi: the negated first zero
     of Ai', located by root finding on :func:`airy_ai_prime`."""
+    from scipy import optimize
+
     return float(-optimize.brentq(airy_ai_prime, -1.2, -0.9, xtol=1e-15))
 
 
@@ -195,6 +199,8 @@ def _closed_form_profile(zeta: np.ndarray) -> np.ndarray:
 
 def _grid_profile(zeta: np.ndarray) -> tuple[np.ndarray, float]:
     """Ground state of the discretized -chi'' + |zeta| chi by inverse iteration."""
+    from scipy.linalg import solve_banded
+
     n = zeta.size
     dz = zeta[1] - zeta[0]
     diag = 2.0 / dz**2 + np.abs(zeta)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import core, entanglement
 
@@ -339,6 +338,10 @@ def scan_collapse_basis(
                     delta, tensors,
                 )[0]
             )
+
+        # scipy is imported where it is called, so that commands which never
+        # refine a scan (`trace` among them) start without loading it
+        from scipy import optimize
 
         step = float(thetas[1] - thetas[0])
         res = optimize.minimize(

@@ -8,8 +8,10 @@ Conventions used throughout the package:
   ``amps.reshape([2] * num_sites)[b0, b1, ..., bN]`` indexes per-site bits,
 * couplings and times are dimensionless (hbar = 1).
 
-Every Pauli string acts as a signed permutation of the computational basis
-(:func:`_apply_terms`, :meth:`PauliTermSum.dense`).  Time evolution takes one
+Every Pauli string acts as a signed permutation of the computational basis.
+Each operator builds its apply plan (gather index and signed factor per term)
+once, on first use, and the apply, :meth:`PauliTermSum.dense` and
+:meth:`PauliTermSum.diagonal` all read it.  Time evolution takes one
 of three paths: pure phases for diagonal operators, the cached dense
 eigendecomposition up to ``EIGEN_SITE_LIMIT`` sites, and above that a
 matrix-free Lanczos propagator (Saad, SIAM J. Numer. Anal. 29, 209 (1992);
@@ -230,7 +232,7 @@ class PauliTermSum:
     lazily, which makes repeated evolutions under the same operator cheap.
     """
 
-    __slots__ = ("terms", "num_sites", "_diag", "_eig", "_perms")
+    __slots__ = ("terms", "num_sites", "is_diagonal", "_scale", "_diag", "_eig", "_plan")
 
     def __init__(self, terms, num_sites: int | None = None):
         packed = []
@@ -263,17 +265,15 @@ class PauliTermSum:
             PauliTerm(c, s, _classify(s)) for c, s in packed
         )
         self.num_sites = int(num_sites)
+        self.is_diagonal = all(set(t.string) <= {"I", "Z"} for t in self.terms)
+        self._scale = float(sum(abs(t.coefficient) for t in self.terms))
         self._diag = None
         self._eig = None
-        self._perms = None
+        self._plan = None
 
     @property
     def dim(self) -> int:
         return 2**self.num_sites
-
-    @property
-    def is_diagonal(self) -> bool:
-        return all(set(t.string) <= {"I", "Z"} for t in self.terms)
 
     def system_terms(self) -> tuple:
         return tuple(t for t in self.terms if t.partition == SYSTEM_ONLY)
@@ -286,27 +286,24 @@ class PauliTermSum:
 
     def coefficient_scale(self) -> float:
         """Upper bound on the spectral norm: sum of |coefficients|."""
-        return float(sum(abs(t.coefficient) for t in self.terms))
+        return self._scale
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of the operator in the computational basis (I/Z terms only)."""
         if not self.is_diagonal:
             raise ValueError("operator has off-diagonal terms")
         if self._diag is None:
-            cols, signs = _sign_table(self.num_sites)
             diag = np.zeros(self.dim)
-            for _, yz, coeff in self._signed_permutations():
-                diag += coeff * signs[cols & yz]
+            for _, factor in self._apply_plan():
+                diag += factor
             self._diag = diag
         return self._diag
 
     def dense(self) -> np.ndarray:
         """Materialize the full matrix (small registers only).
 
-        Each Pauli string is a signed permutation of the computational basis:
-        column ``c`` holds ``i^(#Y) * (-1)^popcount(c & yz_mask)`` in row
-        ``c ^ flip_mask``, where ``flip_mask`` marks the X/Y sites and
-        ``yz_mask`` the Y/Z sites.  The build is therefore O(terms * dim)
+        Row ``r`` holds each term's signed factor in column ``gather[r]`` of
+        the apply plan (:meth:`_apply_plan`), so the build is O(terms * dim)
         scatter-adds, not Kronecker products.  The matrix is float64 when
         every string has an even number of Y (both named models) and complex
         otherwise.  Each call builds a fresh matrix; nothing keeps it.
@@ -315,29 +312,54 @@ class PauliTermSum:
             raise ValueError(
                 f"refusing to materialize a {self.dim} x {self.dim} matrix"
             )
-        cols, signs = _sign_table(self.num_sites)
-        perms = self._signed_permutations()
-        real = not any(isinstance(coeff, complex) for _, _, coeff in perms)
+        cols, _ = _sign_table(self.num_sites)
+        real = all(t.string.count("Y") % 2 == 0 for t in self.terms)
         h = np.zeros((self.dim, self.dim), dtype=float if real else complex)
-        for flip, yz, coeff in perms:
-            h[cols ^ flip, cols] += coeff * signs[cols & yz]
+        for gather, factor in self._apply_plan():
+            h[cols, cols if gather is None else gather] += factor
         return h
 
-    def _signed_permutations(self) -> tuple:
-        """Cached ``(flip_mask, yz_mask, coefficient * i^#Y)`` per term, in order.
+    def _apply_plan(self) -> tuple:
+        """Cached ``(gather, factor)`` per nonzero term, in term order.
 
-        The scaled coefficient is a float when the string has an even number
-        of Y and complex otherwise.
+        A Pauli string is a signed permutation of the computational basis:
+        row ``r`` of ``H v`` gains ``c * i^#Y * (-1)^popcount(g & yz) * v[g]``
+        with ``g = r ^ flip``, where ``flip`` marks the X/Y sites and ``yz``
+        the Y/Z sites.  ``gather`` is the index array ``g`` (``None`` for a
+        string with no X/Y; strings with the same flip mask share one array)
+        and ``factor`` the signed coefficient per row (the scalar
+        ``c * i^#Y`` for a string with no Y/Z).  A factor is float64 when the
+        string has an even number of Y and complex otherwise.
+
+        The plan holds about one ``dim``-length int64 or float64 array per
+        term: 0.16 MB for ``transverse_coupled`` at 10 sites, 1.6 MB at 13
+        and 16 MB at 16.  It is built on first use and kept for the
+        operator's lifetime.
         """
-        if self._perms is None:
-            perms = []
+        if self._plan is None:
+            cols, signs = _sign_table(self.num_sites)
+            gathers = {}
+            plan = []
             for t in self.terms:
+                if t.coefficient == 0.0:
+                    continue
                 flip, yz = _string_masks(t.string)
                 n_y = t.string.count("Y")
                 phase = (-1.0) ** (n_y // 2) * (1j if n_y % 2 else 1.0)
-                perms.append((flip, yz, t.coefficient * phase))
-            self._perms = tuple(perms)
-        return self._perms
+                coeff = t.coefficient * phase
+                gather = None
+                if flip:
+                    if flip not in gathers:
+                        gathers[flip] = cols ^ flip
+                        gathers[flip].flags.writeable = False
+                    gather = gathers[flip]
+                factor = coeff
+                if yz:
+                    factor = coeff * signs[(cols if gather is None else gather) & yz]
+                    factor.flags.writeable = False
+                plan.append((gather, factor))
+            self._plan = tuple(plan)
+        return self._plan
 
     def eigensystem(self):
         """Cached (eigenvalues, eigenvectors) of the dense matrix.
@@ -380,23 +402,21 @@ def _sign_table(num_sites: int) -> tuple[np.ndarray, np.ndarray]:
 def _apply_terms(op: PauliTermSum, amps: np.ndarray) -> np.ndarray:
     """H applied to a vector or to the columns of a (dim, m) block.
 
-    Term by term, in term order, each string is the signed permutation
-    ``out += (c * i^#Y) * signs[(cols ^ flip) & yz] * amps[cols ^ flip]``;
-    the gather is skipped for strings with no X/Y and the signs for strings
-    with no Y/Z, which changes no product.
+    Term by term, in the order of the operator's apply plan
+    (:meth:`PauliTermSum._apply_plan`), ``out += factor * amps[gather]``:
+    one gather into a scratch array (skipped for strings with no X/Y), one
+    multiply into it and one add.  These are the products and the sums of
+    ``out += (c * i^#Y) * signs[(cols ^ flip) & yz] * amps[cols ^ flip]``,
+    so the bits are those of rebuilding each term's index and signs on
+    every call; the plan only stops paying for that rebuild.
     """
-    cols, signs = _sign_table(op.num_sites)
     out = np.zeros_like(amps)
-    for flip, yz, coeff in op._signed_permutations():
-        if coeff == 0.0:
-            continue
-        idx = cols ^ flip if flip else cols
-        src = amps[idx] if flip else amps
-        if yz:
-            factor = coeff * signs[idx & yz]
-            out += (factor[:, None] if amps.ndim == 2 else factor) * src
-        else:
-            out += coeff * src
+    tmp = np.empty_like(amps)
+    block = amps.ndim == 2
+    for gather, factor in op._apply_plan():
+        src = amps if gather is None else np.take(amps, gather, axis=0, out=tmp, mode="clip")
+        np.multiply(factor[:, None] if block and np.ndim(factor) else factor, src, out=tmp)
+        out += tmp
     return out
 
 

@@ -41,6 +41,16 @@ def odd_y_sum(num_sites):
     return core.PauliTermSum(list(zip([0.7, -0.4, 1.1, 0.3, 0.5], strings)))
 
 
+def plan_edge_sum():
+    # what the apply plan special-cases: zero coefficients, identity strings,
+    # flip masks shared by several strings, and strings with an odd number of Y
+    return core.PauliTermSum([
+        (0.0, "XYZII"), (0.8, "IIIII"), (-0.6, "XXIII"), (0.45, "YXZII"),
+        (1.3, "ZIIZI"), (0.0, "IIIII"), (0.7, "IIYYZ"), (-0.25, "IIXYI"),
+        (0.35, "XXIII"), (-0.9, "IZIIZ"),
+    ])
+
+
 # ---------------------------------------------------------------------------
 # signed-permutation apply
 # ---------------------------------------------------------------------------
@@ -56,22 +66,29 @@ def test_apply_terms_equals_kron_matrix_on_vectors_and_blocks(rng, name, h, real
 
 @pytest.mark.parametrize(
     "h",
-    [c[1] for c in DENSE_CASES] + [core.transverse_coupled(12), odd_y_sum(9)],
-    ids=[c[0] for c in DENSE_CASES] + ["transverse_coupled-13", "odd-y-9"],
+    [c[1] for c in DENSE_CASES] + [core.transverse_coupled(12), odd_y_sum(9), plan_edge_sum()],
+    ids=[c[0] for c in DENSE_CASES] + ["transverse_coupled-13", "odd-y-9", "plan-edges-5"],
 )
 def test_apply_terms_equals_flip_route_bit_for_bit(rng, h):
     block = random_vectors(rng, h.num_sites, 2)
     for col in block.T:
         assert np.array_equal(core._apply_terms(h, col), apply_terms_flip(h, col))
+    plan = h._apply_plan()
     got = core._apply_terms(h, block)
+    assert h._plan is plan  # the operator's plan is reused, not rebuilt
     for j, col in enumerate(block.T):
         assert np.array_equal(got[:, j], apply_terms_flip(h, col))
 
 
 def test_diagonal_equals_kron_matrix_bit_for_bit():
     for h in (core.degenerate_ising(5, g=0.7),
-              core.PauliTermSum([(0.3, "ZIZ"), (0.0, "IZI"), (-1.1, "IIZ"), (0.25, "III")])):
+              core.PauliTermSum([(0.3, "ZIZ"), (0.0, "IZI"), (-1.1, "IIZ"), (0.25, "III")]),
+              core.PauliTermSum([(0.0, "ZZIZ"), (0.6, "IIII"), (-0.7, "ZIIZ"), (0.0, "IIII"),
+                                 (1.2, "IZZI"), (0.4, "ZIIZ")])):
         assert np.array_equal(h.diagonal(), np.diag(kron_oracle(h)).real)
+    # the dense matrix reads the same plan
+    h = plan_edge_sum()
+    assert np.array_equal(h.dense(), kron_oracle(h))
 
 
 def test_apply_terms_skips_zero_coefficients():
