@@ -75,18 +75,7 @@ _PARSERS = {
     tuple: _parse_int_list,
 }
 
-_FIELD_TYPES = {
-    "model": str, "n": int, "n_list": tuple, "g": float,
-    "sys_theta": float, "env_theta": float,
-    "threshold": float, "check_interval": float, "t_max": float,
-    "fd_step": float, "accel_delta": float,
-    "basis_method": str, "scan_theta": int, "scan_phi": int,
-    "trials": int, "entropy_units": str, "seed": int, "jobs": int,
-    "out": str, "format": str,
-    "mass_kg": float, "density_kg_m3": float, "barrier_j": float,
-    "line_density_per_m": float, "velocity_m_s": float, "center_m": float,
-    "grid_half_width": float, "grid_points": int,
-}
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
@@ -251,7 +240,7 @@ def cmd_trace(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
     written = []
     results = _map_jobs(one, list(cfg.n_list), cfg.jobs)
-    scale = 1.0 if cfg.entropy_units == "nats" else 1.0 / entanglement.LN2
+    scale = entanglement._unit_scale(cfg.entropy_units)
     for n, trace in results:
         path = out_dir / f"trace_n{n}"
         if cfg.format == "csv":

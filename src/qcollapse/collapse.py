@@ -165,7 +165,11 @@ def mean_entangling_acceleration(
     h: core.PauliTermSum,
     delta: float = entanglement.DEFAULT_ACCEL_STEP,
 ) -> float:
-    """Born-weighted mean of the branch entanglement accelerations."""
+    """Born-weighted mean of the branch entanglement accelerations.
+
+    ``delta`` must be at least ``entanglement.MIN_ACCEL_STEP``.
+    """
+    entanglement._check_accel_step(delta)
     b = decomp.basis
     return float(
         _mean_accel_grid(
@@ -179,8 +183,10 @@ def _scan_tensors(amps: np.ndarray, h: core.PauliTermSum, delta: float) -> tuple
 
     With ``M = amps.reshape(2, -1)`` the branch of a basis vector ``a`` is
     ``sum_pq a_p conj(a_q) / c * v_pq`` with ``v_pq = e_p (x) M_q``, so only
-    the four ``v_pq`` are evolved, by ``delta`` and by ``2 delta``.  Their
-    increments ``X_pq = U v_pq - v_pq`` are O(delta) and keep their relative
+    the four ``v_pq`` are evolved, by ``delta`` and by ``2 delta``, through
+    one :class:`core.Propagator` (one rotation into the eigenbasis, or one
+    Lanczos basis per column, serves both offsets).  Their increments
+    ``X_pq = U v_pq - v_pq`` are O(delta) and keep their relative
     precision.  Columns are evolved at unit norm (rescaling them would move
     the last digits of every scan) and zero columns are skipped.  Returns
     the reduced state ``rho = M M^H`` and, per offset, the (8, 8) Gram
@@ -195,10 +201,11 @@ def _scan_tensors(amps: np.ndarray, h: core.PauliTermSum, delta: float) -> tuple
     norms = np.linalg.norm(vecs, axis=0)
     live = norms > 0.0
     unit = vecs[:, live] / norms[live]
+    prop = core.Propagator(unit, h)
     grams, crosses = [], []
     for step in (delta, 2.0 * delta):
         inc = np.zeros_like(vecs)
-        inc[:, live] = (core.evolve_many(unit, h, step) - unit) * norms[live]
+        inc[:, live] = (prop.propagate([step])[..., 0] - unit) * norms[live]
         x = inc.T.reshape(8, -1)
         grams.append(x.conj() @ x.T)
         crosses.append(x.conj() @ mat.T)
@@ -270,6 +277,7 @@ class ScanSettings:
     def __post_init__(self):
         if self.n_theta < 2 or self.n_phi < 1:
             raise ValueError("scan grid must have at least 2 x 1 cells")
+        entanglement._check_accel_step(self.accel_delta)
 
 
 @dataclass

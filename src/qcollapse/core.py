@@ -11,20 +11,24 @@ Conventions used throughout the package:
 Every Pauli string acts as a signed permutation of the computational basis.
 Each operator builds its apply plan (gather index and signed factor per term)
 once, on first use, and the apply, :meth:`PauliTermSum.dense` and
-:meth:`PauliTermSum.diagonal` all read it.  Time evolution takes one
-of three paths: pure phases for diagonal operators, the cached dense
-eigendecomposition up to ``EIGEN_SITE_LIMIT`` sites, and above that a
+:meth:`PauliTermSum.diagonal` all read it.
+
+All time evolution goes through :class:`Propagator`, over one state or the
+columns of a block; :func:`evolve` and :func:`evolve_times` are one query on
+a fresh one.  The operator picks the path: pure phases for diagonal
+operators, the cached dense eigendecomposition up to ``EIGEN_SITE_LIMIT``
+sites (one rotation into the eigenbasis per propagator), and above that a
 matrix-free Lanczos propagator (Saad, SIAM J. Numer. Anal. 29, 209 (1992);
-Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).  A
-:class:`Propagator` serves many evolutions of one state from one eigenbasis
-rotation or one Lanczos basis, with the bits of separate calls.
+Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)) with one basis per
+column.  Every query answers with the bits of the same query on a fresh
+propagator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -511,34 +515,25 @@ class _LanczosBasis:
         )
 
 
-def _lanczos(amps: np.ndarray, h: PauliTermSum, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t_j) amps for every t_j from a fresh Lanczos basis, as (dim, k)."""
-    return _LanczosBasis(amps, h).propagate(times)
-
-
-def _krylov_times(amps: np.ndarray, h: PauliTermSum, times, lanczos=None) -> np.ndarray:
+def _krylov_times(amps: np.ndarray, h: PauliTermSum, times, basis: _LanczosBasis) -> np.ndarray:
     """exp(-i H t_j) amps for every t_j, as (dim, k).
 
-    ``lanczos(times)`` evolves ``amps`` itself from one Lanczos basis: a
-    fresh :func:`_lanczos` call unless a :class:`Propagator` passes the
-    basis it keeps.  All offsets share that basis when
+    ``basis`` is the Lanczos basis at ``amps``.  All offsets share it when
     ``coefficient_scale() * |t|`` is at most 4 for each; otherwise every
     offset is reached on its own by equal substeps that each stay within
-    that bound, the first from ``lanczos`` and the rest from fresh bases.
+    that bound, the first from ``basis`` and the rest from fresh bases.
     """
     times = np.asarray(times, dtype=float)
-    if lanczos is None:
-        lanczos = partial(_lanczos, amps, h)
     scale = h.coefficient_scale()
     if scale * np.max(np.abs(times), initial=0.0) <= _KRYLOV_MAX_REACH:
-        return lanczos(times)
+        return basis.propagate(times)
     cols = []
     for t in times:
         steps = math.ceil(scale * abs(t) / _KRYLOV_MAX_REACH)
         col = amps
         for j in range(steps):
             sub = np.array([t / steps])
-            col = (lanczos(sub) if j == 0 else _lanczos(col, h, sub))[:, 0]
+            col = (basis if j == 0 else _LanczosBasis(col, h)).propagate(sub)[:, 0]
         cols.append(col)
     return np.column_stack(cols)
 
@@ -562,22 +557,22 @@ def _to_eigenbasis(evecs: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _from_eigenbasis(evecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``evecs @ coeffs`` without casting the eigenvector matrix.
+    """``evecs @ coeffs`` over the first axis, without casting the
+    eigenvector matrix.
 
-    With real eigenvectors this is one real GEMM on the (dim, 2m) float64
+    The trailing axes of ``coeffs`` are flattened into the columns of one
+    product.  With real eigenvectors that is one real GEMM on the float64
     view of the coefficients, whose columns interleave real and imaginary
     parts.
     """
-    if np.iscomplexobj(evecs):
-        return evecs @ coeffs
     c = np.ascontiguousarray(coeffs)
+    if np.iscomplexobj(evecs):
+        return (evecs @ c.reshape(c.shape[0], -1)).reshape(c.shape)
     prod = evecs @ c.view(np.float64).reshape(c.shape[0], -1)
     return prod.view(complex).reshape(c.shape)
 
 
-def _path(h: PauliTermSum, method: str) -> str:
-    if method != "auto":
-        return method
+def _path(h: PauliTermSum) -> str:
     if h.is_diagonal:
         return "diagonal"
     if h.num_sites <= EIGEN_SITE_LIMIT:
@@ -585,59 +580,27 @@ def _path(h: PauliTermSum, method: str) -> str:
     return "krylov"
 
 
-def _evolve_block(block: np.ndarray, h: PauliTermSum, dt: float, method: str) -> np.ndarray:
-    method = _path(h, method)
-    if method == "diagonal":
-        phases = np.exp(-1j * dt * h.diagonal())
-        return block * (phases[:, None] if block.ndim == 2 else phases)
-    if method == "dense":
-        evals, evecs = h.eigensystem()
-        phases = np.exp(-1j * dt * evals)
-        rotated = _to_eigenbasis(evecs, block)
-        rotated *= phases[:, None] if block.ndim == 2 else phases
-        return _from_eigenbasis(evecs, rotated)
-    if method == "krylov":
-        if block.ndim == 1:
-            return _krylov_times(block, h, [dt])[:, 0]
-        return np.column_stack([_krylov_times(col, h, [dt])[:, 0] for col in block.T])
-    raise ValueError(f"unknown evolution method {method!r}")
-
-
-def _check_operands(psi: StateVector, h: PauliTermSum) -> None:
-    if psi.num_sites != h.num_sites:
-        raise ValueError(
-            f"state on {psi.num_sites} sites evolved by an operator on {h.num_sites}"
-        )
-
-
 def _finite_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float).ravel()
-    if not np.all(np.isfinite(times)):
+    if not all(map(math.isfinite, times.tolist())):
         raise ValueError("times must be finite")
     return times
-
-
-def _unit_state(out: np.ndarray) -> StateVector:
-    nrm = float(np.linalg.norm(out))
-    if abs(nrm - 1.0) > 1e-10:
-        raise IntegrationError(f"evolution drifted the norm to {nrm:.12g}")
-    return StateVector(out / nrm)
 
 
 def _unit_columns(out: np.ndarray) -> np.ndarray:
     # per-column BLAS norms: an axis reduction sums sequentially, and its
     # roundoff, different in every column, would leak into the stencils'
     # entropy differences
-    nrm = np.array([np.linalg.norm(col) for col in out.T])
-    drift = np.abs(nrm - 1.0)
-    if np.any(drift > 1e-10):
-        worst = nrm[int(np.argmax(drift))]
+    cols = out.reshape(out.shape[0], -1)
+    nrm = [float(np.linalg.norm(col)) for col in cols.T]
+    worst = max(nrm, key=lambda v: abs(v - 1.0))
+    if abs(worst - 1.0) > 1e-10:
         raise IntegrationError(f"evolution drifted the norm to {worst:.12g}")
-    return out / nrm
+    return (cols / np.array(nrm)).reshape(out.shape)
 
 
-def evolve(psi: StateVector, h: PauliTermSum, dt: float, method: str = "auto") -> StateVector:
-    """exp(-i H dt) |psi>.
+def evolve(psi: StateVector, h: PauliTermSum, dt: float) -> StateVector:
+    """exp(-i H dt) |psi>, by one query on a fresh :class:`Propagator`.
 
     Diagonal operators are advanced by pure phases; other operators use a
     cached dense eigendecomposition up to ``EIGEN_SITE_LIMIT`` sites and a
@@ -650,92 +613,90 @@ def evolve(psi: StateVector, h: PauliTermSum, dt: float, method: str = "auto") -
     step that does not converge within 40 basis vectors raises
     :class:`IntegrationError`, as does a norm drift beyond 1e-10.  A step
     that shares its state with other evolutions, as the sampling loop's
-    step shares it with the entropy stencils, is cheaper through
-    :meth:`Propagator.evolve`, which returns the same bits.
+    step shares it with the entropy stencils, is cheaper on one kept
+    :class:`Propagator`, which returns the same bits.
     """
-    _check_operands(psi, h)
-    if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
-    return _unit_state(_evolve_block(psi.amplitudes, h, dt, method))
+    return Propagator(psi, h).evolve(dt)
 
 
 def evolve_times(psi: StateVector, h: PauliTermSum, times) -> np.ndarray:
     """exp(-i H t_j) |psi> for every offset ``t_j``, as a (dim, k) block.
 
-    The paths are those of :func:`evolve`, batched over the offsets: the
-    diagonal path multiplies by a (dim, k) table of phases, the dense path
-    rotates ``psi`` into the cached eigenbasis once and rotates all k phased
-    copies back in one matrix product, and above ``EIGEN_SITE_LIMIT`` one
-    Lanczos basis at ``psi`` serves every offset through one (dim, m) x
-    (m, k) product (offsets beyond ``coefficient_scale() * |t| = 4`` are
-    substepped one by one).  Every column is renormalized; a column whose
-    norm drifted by more than 1e-10 raises :class:`IntegrationError`.
-    It answers what one query on a fresh :class:`Propagator` answers; the
-    sampling loop keeps one propagator per sampled state, so that the step
-    to the next sample and both entropy stencils share one basis.
+    One query on a fresh :class:`Propagator`: the dense path rotates all k
+    phased copies back from the eigenbasis in one matrix product, and above
+    ``EIGEN_SITE_LIMIT`` one Lanczos basis serves every offset through one
+    (dim, m) x (m, k) product (offsets beyond ``coefficient_scale() * |t| =
+    4`` are substepped one by one).  Every column is renormalized; a column
+    whose norm drifted by more than 1e-10 raises :class:`IntegrationError`.
     """
-    prop = Propagator(psi, h)
-    if prop.method != "krylov":
-        return prop.evolve_times(times)
-    # one query: a fresh basis, built and dropped by `_lanczos`
-    return _unit_columns(_krylov_times(psi.amplitudes, h, _finite_times(times)))
+    return Propagator(psi, h).evolve_times(times)
 
 
 class Propagator:
-    """exp(-i H t) |psi> for any number of queries at one state.
+    """exp(-i H t) applied to one state, or to the columns of a (dim, m)
+    block, for any number of queries.
 
-    What the queries share is computed once, on first use: on the dense
-    path the state's coefficients in the cached eigenbasis, above
-    ``EIGEN_SITE_LIMIT`` one Lanczos basis, grown only as far as the
-    hardest query so far has needed.  Each answer equals, bit for bit, the
-    one-off :func:`evolve_times` or :func:`evolve` call it stands for:
-    every query takes the smallest basis that converges for its own
-    offsets, and every dense product keeps the width of that call.  A
+    This is the only propagation route.  What the queries share is computed
+    once, on first use: on the dense path the coefficients in the cached
+    eigenbasis (one rotation of the whole block), above ``EIGEN_SITE_LIMIT``
+    one Lanczos basis per column, grown only as far as the hardest query so
+    far has needed.  Each answer equals, bit for bit, the same query on a
+    fresh propagator: every query takes the smallest basis that converges
+    for its own offsets, and every dense product keeps its width.  A
     propagator holds its state and operator and nothing else, so it lives
     only as long as the caller keeps it; there is no cache beyond it.
     """
 
-    __slots__ = ("psi", "h", "method", "_coeffs", "_basis")
+    __slots__ = ("psi", "h", "method", "_amps", "_coeffs", "_bases")
 
-    def __init__(self, psi: StateVector, h: PauliTermSum):
-        _check_operands(psi, h)
+    def __init__(self, psi, h: PauliTermSum):
+        amps = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi, dtype=complex)
+        if amps.ndim not in (1, 2) or amps.shape[0] != h.dim:
+            raise ValueError(
+                f"amplitudes of shape {amps.shape} evolved by an operator on {h.num_sites} sites"
+            )
         self.psi = psi
         self.h = h
-        self.method = _path(h, "auto")
-        self._coeffs = None  # dense path: psi in the cached eigenbasis
-        self._basis = None  # Krylov path: the Lanczos basis at psi
+        self.method = _path(h)
+        self._amps = amps
+        self._coeffs = None  # dense path: the amplitudes in the cached eigenbasis
+        self._bases = None  # Krylov path: one Lanczos basis per column
 
-    def _block(self, times: np.ndarray) -> np.ndarray:
-        amps = self.psi.amplitudes
+    def propagate(self, times) -> np.ndarray:
+        """exp(-i H t_j) applied for every offset, not renormalized.
+
+        The offsets run along a new last axis: (dim, k) for a state,
+        (dim, m, k) for a block.
+        """
+        times = _finite_times(times)
+        amps = self._amps
+        if self.method == "krylov":
+            cols = [amps] if amps.ndim == 1 else list(amps.T)
+            if self._bases is None:
+                self._bases = [_LanczosBasis(col, self.h) for col in cols]
+            out = [_krylov_times(c, self.h, times, b) for c, b in zip(cols, self._bases)]
+            return out[0] if amps.ndim == 1 else np.stack(out, axis=1)
         if self.method == "diagonal":
-            return amps[:, None] * np.exp(-1j * np.outer(self.h.diagonal(), times))
-        if self.method == "dense":
-            evals, evecs = self.h.eigensystem()
-            if self._coeffs is None:
-                self._coeffs = _to_eigenbasis(evecs, amps)
-            phases = np.exp(-1j * np.outer(evals, times))
-            return _from_eigenbasis(evecs, self._coeffs[:, None] * phases)
-        if self._basis is None:
-            self._basis = _LanczosBasis(amps, self.h)
-        return _krylov_times(amps, self.h, times, self._basis.propagate)
+            return amps[..., None] * self._phases(self.h.diagonal(), times)
+        evals, evecs = self.h.eigensystem()
+        if self._coeffs is None:
+            self._coeffs = _to_eigenbasis(evecs, amps)
+        return _from_eigenbasis(evecs, self._coeffs[..., None] * self._phases(evals, times))
+
+    def _phases(self, energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        phases = np.exp(-1j * (energies[:, None] * times))
+        return phases if self._amps.ndim == 1 else phases[:, None]
 
     def evolve_times(self, times) -> np.ndarray:
-        """:func:`evolve_times` at this propagator's state."""
-        return _unit_columns(self._block(_finite_times(times)))
+        """:meth:`propagate` with every column renormalized; a column whose
+        norm drifted by more than 1e-10 raises :class:`IntegrationError`."""
+        return _unit_columns(self.propagate(times))
 
     def evolve(self, dt: float) -> StateVector:
-        """:func:`evolve` at this propagator's state, by the automatic path."""
+        """The state exp(-i H dt) |psi> (a propagator over a state only)."""
         if not math.isfinite(dt):
             raise ValueError("dt must be finite")
-        return _unit_state(self._block(np.array([float(dt)]))[:, 0])
-
-
-def evolve_many(block: np.ndarray, h: PauliTermSum, dt: float, method: str = "auto") -> np.ndarray:
-    """Evolve the columns of a (dim, m) block of normalized states."""
-    block = np.asarray(block, dtype=complex)
-    if block.shape[0] != h.dim:
-        raise ValueError("block dimension does not match the operator")
-    return _evolve_block(block, h, dt, method)
+        return StateVector(self.evolve_times([dt])[..., 0])
 
 
 def partial_trace_system(psi: StateVector, split: BipartiteSplit | None = None) -> DensityMatrix:

@@ -6,6 +6,11 @@
 * ``evolve_rk4``: the fixed-step 4th-order Runge-Kutta integrator over that
   apply, with the step chosen for a local error of about 1e-12 and a
   renormalization after every step;
+* ``evolve_block`` / ``evolve_on_path``: the three-way dispatcher that
+  evolved a vector or the columns of a block by one ``dt`` on a named path
+  (``"diagonal"``, ``"dense"``, ``"krylov"`` or ``"auto"``), rotating into
+  the eigenbasis and building fresh Lanczos bases on every call, which
+  ``core.Propagator`` replaced;
 * ``sample_per_call``: the sampling loop that evolved its state afresh for
   the step and for each stencil, through ``core.evolve`` and the public
   finite-difference speed and acceleration.
@@ -76,6 +81,36 @@ def evolve_rk4(amps, h, dt):
             raise RuntimeError(f"integrator norm drifted to {nrm:.6g}")
         y = y / nrm
     return y
+
+
+def evolve_block(block, h, dt, path):
+    """exp(-i H dt) applied to a vector or to each column of a (dim, m)
+    block on the named path, not renormalized."""
+    if path == "auto":
+        path = core._path(h)
+    if path == "diagonal":
+        phases = np.exp(-1j * dt * h.diagonal())
+        return block * (phases[:, None] if block.ndim == 2 else phases)
+    if path == "dense":
+        evals, evecs = h.eigensystem()
+        phases = np.exp(-1j * dt * evals)
+        rotated = core._to_eigenbasis(evecs, block)
+        rotated *= phases[:, None] if block.ndim == 2 else phases
+        return core._from_eigenbasis(evecs, rotated)
+    if path == "krylov":
+        def one(col):
+            return core._krylov_times(col, h, [dt], core._LanczosBasis(col, h))[:, 0]
+
+        if block.ndim == 1:
+            return one(block)
+        return np.column_stack([one(col) for col in block.T])
+    raise ValueError(f"unknown evolution method {path!r}")
+
+
+def evolve_on_path(psi, h, dt, path):
+    """exp(-i H dt) |psi> on the named path, renormalized."""
+    out = evolve_block(psi.amplitudes, h, dt, path)
+    return core.StateVector(out / np.linalg.norm(out))
 
 
 def sample_per_call(initial, h, dt, steps, fd_step, accel_delta, model_tag, on_sample=None):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.n_list == (2, 3)
     assert cfg.threshold == 0.5
     assert cfg.seed == 7
+
+
+def test_every_key_parses_its_default():
+    # the key types are read off RunConfig's defaults, so each must parse
+    for f in fields(cli.RunConfig):
+        default = f.default
+        text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        assert cli.parse_config_text(f"{f.name} = {text}") == {f.name: default}
 
 
 def test_unknown_key_is_rejected(tmp_path):

@@ -193,6 +193,20 @@ def test_scan_tie_break_prefers_smallest_theta():
     assert report.coarse_minimum[1] == 0.0
 
 
+def test_scan_rejects_a_bad_acceleration_step():
+    # a zero step once gave theta = 0 from a -inf landscape, and a negative
+    # one a basis, with no error
+    h = core.transverse_coupled(3)
+    psi = core.evolve(tilted_initial(3, math.pi / 4), h, 0.3)
+    d = collapse.decompose(psi, collapse.CandidateBasis(0.4, 0.2))
+    for delta in (0.0, -1e-3, 0.5 * entanglement.MIN_ACCEL_STEP):
+        with pytest.raises(ValueError, match="delta"):
+            collapse.ScanSettings(accel_delta=delta)
+        with pytest.raises(ValueError, match="delta"):
+            collapse.mean_entangling_acceleration(d, h, delta)
+    assert math.isfinite(collapse.mean_entangling_acceleration(d, h, entanglement.MIN_ACCEL_STEP))
+
+
 # ---------------------------------------------------------------------------
 # collapse operator
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from propagation_oracles import evolve_rk4
+from propagation_oracles import evolve_on_path, evolve_rk4
 from qcollapse import core
 
 # independent dense oracle: build matrices from scratch, no shared code with
@@ -210,7 +210,7 @@ def test_dense_and_rk4_paths_agree(rng):
     for n_env in (2, 4):
         h = core.transverse_coupled(n_env)
         psi = random_state(rng, n_env + 1)
-        dense = core.evolve(psi, h, 0.8, method="dense")
+        dense = evolve_on_path(psi, h, 0.8, "dense")
         rk4 = evolve_rk4(psi.amplitudes, h, 0.8)
         assert np.linalg.norm(dense.amplitudes - rk4) < 1e-9
 
@@ -218,8 +218,8 @@ def test_dense_and_rk4_paths_agree(rng):
 def test_diagonal_and_dense_paths_agree(rng):
     h = core.degenerate_ising(3, g=1.3)
     psi = random_state(rng, 4)
-    a = core.evolve(psi, h, 0.77, method="diagonal")
-    b = core.evolve(psi, h, 0.77, method="dense")
+    a = evolve_on_path(psi, h, 0.77, "diagonal")
+    b = evolve_on_path(psi, h, 0.77, "dense")
     assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-10
 
 
@@ -238,10 +238,10 @@ def test_evolve_rejects_mismatch_and_nonfinite():
         core.evolve(core.StateVector.uniform_plus(3), h, math.nan)
 
 
-def test_evolve_many_matches_single(rng):
+def test_block_propagator_matches_single(rng):
     h = core.transverse_coupled(3)
     cols = np.column_stack([random_state(rng, 4).amplitudes for _ in range(5)])
-    block = core.evolve_many(cols, h, 0.37)
+    block = core.Propagator(cols, h).propagate([0.37])[..., 0]
     for j in range(5):
         single = core.evolve(core.StateVector(cols[:, j]), h, 0.37)
         np.testing.assert_allclose(block[:, j], single.amplitudes, atol=1e-12)

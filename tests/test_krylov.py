@@ -6,6 +6,7 @@ Oracles: the Kronecker-product matrix (``kron_oracle``), the site-by-site
 stays the path up to ``core.EIGEN_SITE_LIMIT`` sites.
 """
 
+import inspect
 import math
 import os
 import subprocess
@@ -16,12 +17,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from propagation_oracles import apply_string_flip, apply_terms_flip, evolve_rk4
+from propagation_oracles import (
+    apply_string_flip, apply_terms_flip, evolve_on_path, evolve_rk4,
+)
 import qcollapse
 from qcollapse import cli, collapse, core, entanglement
 from test_dense_path import DENSE_CASES, kron_oracle, random_state, tilted_product
 
 STENCIL_OFFSETS = [0.02, 1e-4, -1e-4, 5e-5, -5e-5, 1e-3, 2e-3, -1e-3]
+
+
+def count_lanczos_queries(monkeypatch, record):
+    """Make every Lanczos basis ``core`` builds append ``record(basis, times)``
+    for each query on it; returns the list."""
+    calls = []
+
+    class Counting(core._LanczosBasis):
+        __slots__ = ()
+
+        def propagate(self, times):
+            calls.append(record(self, times))
+            return super().propagate(times)
+
+    monkeypatch.setattr(core, "_LanczosBasis", Counting)
+    return calls
 
 
 def random_vectors(rng, num_sites, columns):
@@ -125,12 +144,14 @@ def test_collapse_operator_expectations_unchanged_bit_for_bit(rng):
 
 
 def test_auto_path_by_register_size():
-    assert core._path(core.transverse_coupled(core.EIGEN_SITE_LIMIT - 1), "auto") == "dense"
-    assert core._path(core.transverse_coupled(core.EIGEN_SITE_LIMIT), "auto") == "krylov"
-    assert core._path(core.degenerate_ising(14), "auto") == "diagonal"
+    assert core._path(core.transverse_coupled(core.EIGEN_SITE_LIMIT - 1)) == "dense"
+    assert core._path(core.transverse_coupled(core.EIGEN_SITE_LIMIT)) == "krylov"
+    assert core._path(core.degenerate_ising(14)) == "diagonal"
+    # the path is chosen by the operator alone; only the oracle names one
+    for fn in (core.evolve, core._path):
+        assert "method" not in inspect.signature(fn).parameters
     with pytest.raises(ValueError, match="unknown evolution method"):
-        core.evolve(core.StateVector.uniform_plus(3), core.transverse_coupled(2), 0.1,
-                    method="rk4")
+        evolve_on_path(core.StateVector.uniform_plus(3), core.transverse_coupled(2), 0.1, "rk4")
 
 
 def test_krylov_path_calls_the_apply_through_the_module(rng, monkeypatch):
@@ -158,31 +179,25 @@ def test_krylov_matches_dense_path(rng, num_sites):
     h = core.transverse_coupled(num_sites - 1)
     psi = random_state(rng, num_sites)
     for t in (0.02, 1e-4, -0.15):
-        dense = core.evolve(psi, h, t, method="dense").amplitudes
-        krylov = core.evolve(psi, h, t, method="krylov").amplitudes
+        dense = evolve_on_path(psi, h, t, "dense").amplitudes
+        krylov = evolve_on_path(psi, h, t, "krylov").amplitudes
         assert np.max(np.abs(krylov - dense)) <= 1e-13
     dense = np.column_stack(
-        [core.evolve(psi, h, t, method="dense").amplitudes for t in STENCIL_OFFSETS]
+        [evolve_on_path(psi, h, t, "dense").amplitudes for t in STENCIL_OFFSETS]
     )
-    krylov = core._krylov_times(psi.amplitudes, h, STENCIL_OFFSETS)
+    basis = core._LanczosBasis(psi.amplitudes, h)
+    krylov = core._krylov_times(psi.amplitudes, h, STENCIL_OFFSETS, basis)
     assert np.max(np.abs(krylov - dense)) <= 1e-13
 
 
 def test_evolve_times_takes_all_offsets_from_one_basis(rng, monkeypatch):
     h = core.transverse_coupled(9)
     psi = random_state(rng, 10)
-    bases = []
-    lanczos = core._lanczos
-
-    def counting(amps, op, times):
-        bases.append(times.size)
-        return lanczos(amps, op, times)
-
-    monkeypatch.setattr(core, "_lanczos", counting)
+    bases = count_lanczos_queries(monkeypatch, lambda basis, times: times.size)
     out = core.evolve_times(psi, h, STENCIL_OFFSETS)
     assert bases == [len(STENCIL_OFFSETS)]
     dense = np.column_stack(
-        [core.evolve(psi, h, t, method="dense").amplitudes for t in STENCIL_OFFSETS]
+        [evolve_on_path(psi, h, t, "dense").amplitudes for t in STENCIL_OFFSETS]
     )
     assert np.max(np.abs(out - dense)) <= 1e-13
 
@@ -190,25 +205,18 @@ def test_evolve_times_takes_all_offsets_from_one_basis(rng, monkeypatch):
 def test_long_evolution_substeps_and_matches_dense_path(rng, monkeypatch):
     h = core.transverse_coupled(9)
     psi = random_state(rng, 10)
-    bases = []
-    lanczos = core._lanczos
-
-    def counting(amps, op, times):
-        bases.append(float(times[0]))
-        return lanczos(amps, op, times)
-
-    monkeypatch.setattr(core, "_lanczos", counting)
-    krylov = core.evolve(psi, h, 3.0, method="krylov").amplitudes
+    bases = count_lanczos_queries(monkeypatch, lambda basis, times: float(times[0]))
+    krylov = evolve_on_path(psi, h, 3.0, "krylov").amplitudes
     steps = math.ceil(h.coefficient_scale() * 3.0 / 4.0)
     assert bases == pytest.approx([3.0 / steps] * steps, rel=1e-15)
-    dense = core.evolve(psi, h, 3.0, method="dense").amplitudes
+    dense = evolve_on_path(psi, h, 3.0, "dense").amplitudes
     assert np.max(np.abs(krylov - dense)) <= 1e-13
     # offsets past the bound are substepped one by one, shorter ones at once
     bases.clear()
     out = core.evolve_times(psi, h, [-3.0, 0.0, 0.5])
     assert len(bases) == steps + math.ceil(h.coefficient_scale() * 0.5 / 4.0)
     for j, t in enumerate([-3.0, 0.0, 0.5]):
-        dense = core.evolve(psi, h, t, method="dense").amplitudes
+        dense = evolve_on_path(psi, h, t, "dense").amplitudes
         assert np.max(np.abs(out[:, j] - dense)) <= 1e-13
 
 
@@ -221,12 +229,12 @@ def test_krylov_stopping_test_does_not_depend_on_operator_scale(rng, scale):
     )
     psi = random_state(rng, 10)
     for t in (0.02, 0.3, 3.0):
-        krylov = core.evolve(psi, h, t / scale, method="krylov").amplitudes
-        dense = core.evolve(psi, h, t / scale, method="dense").amplitudes
+        krylov = evolve_on_path(psi, h, t / scale, "krylov").amplitudes
+        dense = evolve_on_path(psi, h, t / scale, "dense").amplitudes
         assert np.max(np.abs(krylov - dense)) <= 1e-13
     offsets = [t / scale for t in STENCIL_OFFSETS]
     dense = np.column_stack(
-        [core.evolve(psi, h, t, method="dense").amplitudes for t in offsets]
+        [evolve_on_path(psi, h, t, "dense").amplitudes for t in offsets]
     )
     assert np.max(np.abs(core.evolve_times(psi, h, offsets) - dense)) <= 1e-13
 
@@ -242,11 +250,11 @@ def test_krylov_matches_rk4_oracle_above_dense_limit(rng):
 def test_krylov_on_odd_y_complex_operator(rng):
     h = odd_y_sum(10)
     assert h.dense().dtype == np.complex128
-    assert core._path(h, "auto") == "krylov"
+    assert core._path(h) == "krylov"
     psi = random_state(rng, 10)
     for t in (0.02, -0.7):
         krylov = core.evolve(psi, h, t).amplitudes
-        dense = core.evolve(psi, h, t, method="dense").amplitudes
+        dense = evolve_on_path(psi, h, t, "dense").amplitudes
         assert np.max(np.abs(krylov - dense)) <= 1e-13
 
 
@@ -255,19 +263,20 @@ def test_zero_columns_and_zero_vectors_map_to_zero(rng):
     block = random_vectors(rng, 10, 3)
     block /= np.linalg.norm(block, axis=0)
     block[:, 1] = 0.0
-    out = core.evolve_many(block, h, 0.05)
+    out = core.Propagator(block, h).propagate([0.05])[..., 0]
     assert np.array_equal(out[:, 1], np.zeros(h.dim))
     for j in (0, 2):
-        dense = core.evolve(core.StateVector(block[:, j]), h, 0.05, method="dense").amplitudes
+        dense = evolve_on_path(core.StateVector(block[:, j]), h, 0.05, "dense").amplitudes
         assert np.max(np.abs(out[:, j] - dense)) <= 1e-13
-    zero = core._krylov_times(np.zeros(h.dim, dtype=complex), h, [0.1, -2.0])
+    zero_amps = np.zeros(h.dim, dtype=complex)
+    zero = core._krylov_times(zero_amps, h, [0.1, -2.0], core._LanczosBasis(zero_amps, h))
     assert zero.shape == (h.dim, 2) and not np.any(zero)
 
 
 def test_zero_operator_leaves_the_state_alone(rng):
     h = core.PauliTermSum([], num_sites=10)
     psi = random_state(rng, 10)
-    out = core.evolve(psi, h, 0.3, method="krylov").amplitudes
+    out = evolve_on_path(psi, h, 0.3, "krylov").amplitudes
     assert np.max(np.abs(out - psi.amplitudes)) <= 1e-15
 
 
@@ -277,7 +286,7 @@ def test_zero_operator_leaves_the_state_alone(rng):
 
 
 def dense_entropy(psi, h, t):
-    return entanglement.state_entropy(core.evolve(psi, h, t, method="dense"))
+    return entanglement.state_entropy(evolve_on_path(psi, h, t, "dense"))
 
 
 def test_stencils_match_dense_per_offset_route_at_ten_sites(rng):

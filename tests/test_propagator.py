@@ -13,10 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from propagation_oracles import sample_per_call
+from propagation_oracles import evolve_block, evolve_on_path, sample_per_call
 from qcollapse import collapse, core, entanglement
 from test_dense_path import random_state, tilted_product
-from test_krylov import STENCIL_OFFSETS
+from test_krylov import STENCIL_OFFSETS, count_lanczos_queries
 
 FD, DELTA = entanglement.DEFAULT_FD_STEP, entanglement.DEFAULT_ACCEL_STEP
 
@@ -116,16 +116,52 @@ def test_query_order_does_not_change_the_bytes(rng, num_sites):
 
 
 def test_step_and_stencils_draw_on_one_basis(rng, monkeypatch):
-    # one basis per state: no fresh `_lanczos` call, and the step's basis
+    # one basis per state: no fresh Lanczos basis, and the step's basis
     # (the largest query) stays within one chunk of vectors
-    monkeypatch.setattr(core, "_lanczos", None)
+    queried = count_lanczos_queries(monkeypatch, lambda basis, times: basis)
     h = core.transverse_coupled(12)
     prop = core.Propagator(random_state(rng, 13), h)
     prop.evolve_times(STENCIL_OFFSETS[1:5])
     prop.evolve_times([DELTA, -DELTA])
     prop.evolve(0.02)
-    assert len(prop._basis.betas) <= core._KRYLOV_CHUNK
-    assert prop._basis.vectors.nbytes <= 1.6e6
+    (basis,) = prop._bases
+    assert len(queried) == 3 and all(b is basis for b in queried)
+    assert len(basis.betas) <= core._KRYLOV_CHUNK
+    assert basis.vectors.nbytes <= 1.6e6
+
+
+# ---------------------------------------------------------------------------
+# block queries against the per-call dispatcher they replaced
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        core.degenerate_ising(3, g=1.3),
+        core.transverse_coupled(3),
+        core.transverse_coupled(6),
+        core.transverse_coupled(8),
+        core.transverse_coupled(9),
+        core.transverse_coupled(11),
+    ],
+    ids=["diagonal-4", "dense-4", "dense-7", "dense-9", "krylov-10", "krylov-12"],
+)
+def test_block_queries_equal_the_dispatcher_bit_for_bit(rng, h):
+    # the scan's queries: one offset at a time on one kept propagator, with a
+    # zero column among the unit ones
+    block = np.column_stack([random_state(rng, h.num_sites).amplitudes for _ in range(4)])
+    block[:, 2] = 0.0
+    prop = core.Propagator(block, h)
+    assert prop.method == core._path(h)
+    for dt in (DELTA, 2.0 * DELTA, -0.3):
+        out = prop.propagate([dt])
+        assert out.shape == block.shape + (1,)
+        assert np.array_equal(out[..., 0], evolve_block(block, h, dt, "auto"))
+    psi = random_state(rng, h.num_sites)
+    for dt in (0.02, -0.3):
+        want = evolve_on_path(psi, h, dt, "auto").amplitudes
+        assert np.array_equal(core.evolve(psi, h, dt).amplitudes, want)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +186,7 @@ def test_zero_start_vector_maps_to_zero_through_a_kept_basis():
     zero = np.zeros(h.dim, dtype=complex)
     basis = core._LanczosBasis(zero, h)
     for times in ([0.1, -2.0], [0.02], [-3.0, 0.0, 0.5]):
-        out = core._krylov_times(zero, h, times, basis.propagate)
+        out = core._krylov_times(zero, h, times, basis)
         assert out.shape == (h.dim, len(times)) and not np.any(out)
     assert basis.betas == []
 

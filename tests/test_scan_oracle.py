@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from propagation_oracles import evolve_block
 from qcollapse import collapse, core, entanglement
 
 DELTA = entanglement.DEFAULT_ACCEL_STEP
@@ -25,8 +26,8 @@ EPS = np.finfo(float).eps
 
 def oracle_branch_accelerations(sys_rows, env_rows, h, delta):
     block = np.einsum("ma,me->mae", sys_rows, env_rows).reshape(sys_rows.shape[0], -1).T
-    b1 = core.evolve_many(block, h, delta)
-    b2 = core.evolve_many(b1, h, delta)
+    b1 = evolve_block(block, h, delta, "auto")
+    b2 = evolve_block(b1, h, delta, "auto")
     s1 = entanglement.block_entropies(b1)
     s2 = entanglement.block_entropies(b2)
     return (s2 - 2.0 * s1) / delta**2
@@ -132,7 +133,7 @@ def test_rk4_path_above_dense_limit_matches_explicit_route():
     # unit-norm columns; a system in |0> makes two of them exactly zero
     n = 12
     h = core.transverse_coupled(n)
-    assert core._path(h, "auto") == "krylov"
+    assert core._path(h) == "krylov"
     for psi in (
         tilted_initial(n, 0.6),
         core.StateVector.from_site_states([core.spin_state(0.0)] + [core.spin_state(0.6)] * n),
@@ -181,20 +182,45 @@ def test_precomputed_tensors_give_the_same_values(rng):
 
 
 def test_scan_evolves_eight_columns(monkeypatch):
-    # four vectors by delta and by 2 delta, whatever the grid size
-    columns = []
-    evolve_many = core.evolve_many
+    # four vectors by delta and by 2 delta, whatever the grid size, from one
+    # propagator: one rotation into the eigenbasis on the dense path, one
+    # Lanczos basis per vector above it (7 applies each, where a fresh basis
+    # per offset took 52 in all)
+    cases = {}
+    for sites in (6, 7, 10):
+        h = core.transverse_coupled(sites - 1)
+        cases[sites] = (core.evolve(tilted_initial(sites - 1, math.pi / 4), h, 0.3), h)
 
-    def counting(block, h, dt, method="auto"):
-        columns.append(block.shape[1])
-        return evolve_many(block, h, dt, method)
+    columns, rotations, applies = [], [], []
+    propagate, to_eigenbasis, apply = (
+        core.Propagator.propagate, core._to_eigenbasis, core._apply_terms)
 
-    monkeypatch.setattr(core, "evolve_many", counting)
-    h = core.transverse_coupled(5)
-    psi = core.evolve(tilted_initial(5, math.pi / 4), h, 0.3)
+    def counting_propagate(self, times):
+        out = propagate(self, times)
+        columns.append(out[0].size)
+        return out
+
+    def counting_rotation(evecs, block):
+        rotations.append(block.shape)
+        return to_eigenbasis(evecs, block)
+
+    def counting_apply(op, amps):
+        applies.append(amps.shape)
+        return apply(op, amps)
+
+    monkeypatch.setattr(core.Propagator, "propagate", counting_propagate)
+    monkeypatch.setattr(core, "_to_eigenbasis", counting_rotation)
+    monkeypatch.setattr(core, "_apply_terms", counting_apply)
+    psi, h = cases[6]
     _, report = collapse.scan_collapse_basis(psi, h)
     assert report.nm_evaluations > 0
     assert sum(columns) == 8
+    rotations.clear()
+    collapse._scan_tensors(cases[7][0].amplitudes, cases[7][1], DELTA)
+    assert rotations == [(2**7, 4)]
+    applies.clear()
+    collapse._scan_tensors(cases[10][0].amplitudes, cases[10][1], DELTA)
+    assert len(applies) == 28
 
 
 def test_pole_minimum_is_refined_onto_the_axis():
