@@ -47,7 +47,6 @@ class RunConfig:
     threshold: float = math.inf
     check_interval: float = 0.02
     t_max: float = 3.0
-    fd_step: float = 1e-4
     accel_delta: float = 1e-3
     basis_method: str = "auto"
     scan_theta: int = 64
@@ -129,8 +128,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("environment sizes must be >= 1")
     if cfg.g <= 0:
         raise ConfigError("g must be positive")
-    if not (cfg.t_max > 0 and cfg.fd_step > 0 and cfg.accel_delta > 0):
-        raise ConfigError("t_max, fd_step and accel_delta must be positive")
+    if not (cfg.t_max > 0 and cfg.accel_delta > 0):
+        raise ConfigError("t_max and accel_delta must be positive")
     if cfg.accel_delta < entanglement.MIN_ACCEL_STEP:
         raise ConfigError(f"accel_delta must be at least {entanglement.MIN_ACCEL_STEP}")
     if cfg.trials < 1:
@@ -232,7 +231,6 @@ def cmd_trace(cfg: RunConfig, out_dir: Path) -> list[Path]:
             _hamiltonian(cfg, n),
             t_max=cfg.t_max,
             dt=cfg.check_interval,
-            fd_step=cfg.fd_step,
             accel_delta=cfg.accel_delta,
             model_tag=cfg.model,
         )
@@ -308,7 +306,6 @@ def cmd_trajectory(cfg: RunConfig, out_dir: Path) -> list[Path]:
         seed=cfg.seed,
         basis_method=cfg.basis_method,
         scan_settings=_scan_settings(cfg),
-        fd_step=cfg.fd_step,
         accel_delta=cfg.accel_delta,
         model_tag=cfg.model,
     )

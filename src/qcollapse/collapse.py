@@ -560,7 +560,6 @@ def run_trajectory(
     seed: int,
     basis_method: str = "auto",
     scan_settings: ScanSettings | None = None,
-    fd_step: float = entanglement.DEFAULT_FD_STEP,
     accel_delta: float = entanglement.DEFAULT_ACCEL_STEP,
     model_tag: str = "custom",
 ) -> tuple[entanglement.EntanglementTrace, list[CollapseEvent]]:
@@ -568,11 +567,10 @@ def run_trajectory(
 
     Runs the sampling loop shared with :func:`entanglement.compute_trace`
     over ``ceil(t_max / check_interval)`` steps of ``policy.check_interval``,
-    so the entangling speed is measured by finite differences (uniformly
-    valid through product states).  On a crossing the collapse basis comes
-    from :func:`determine_basis` (a flat scan skips the event), the state is
-    decomposed, an outcome is Born-sampled, energies are audited, and the
-    product branch replaces the state.  Runs are deterministic given the
+    with the entangling speed in closed form.  On a crossing the collapse
+    basis comes from :func:`determine_basis` (a flat scan skips the event),
+    the state is decomposed, an outcome is Born-sampled, energies are
+    audited, and the product branch replaces the state.  Runs are deterministic given the
     seed and step sizes.  Event times are grid times; no sub-step root
     polishing is attempted.
     """
@@ -615,7 +613,7 @@ def run_trajectory(
     dt = policy.check_interval
     steps = int(math.ceil(t_max / dt - 1e-12))
     trace = entanglement._sample(
-        initial, h, dt, steps, fd_step, accel_delta, model_tag, collapse_on_crossing
+        initial, h, dt, steps, accel_delta, model_tag, collapse_on_crossing
     )
     return trace, events
 

@@ -20,8 +20,11 @@ operators, the cached dense eigendecomposition up to ``EIGEN_SITE_LIMIT``
 sites (one rotation into the eigenbasis per propagator), and above that a
 matrix-free Lanczos propagator (Saad, SIAM J. Numer. Anal. 29, 209 (1992);
 Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)) with one basis per
-column.  Every query answers with the bits of the same query on a fresh
-propagator.
+column.  Every evolution query answers with the bits of the same query on a
+fresh propagator.  :meth:`Propagator.moments` also gives ``H psi_t`` and
+``H^2 psi_t`` at every offset, which the entropy's closed-form derivatives
+read, so one propagator serves a whole window of trace samples
+(:func:`moment_window`).
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ SYSTEM_SITE = 0
 
 # Largest register evolved through the cached dense eigendecomposition;
 # larger non-diagonal operators go through the Lanczos propagator.  A
-# 51-sample `trace` (t_max=1, eigh included, one BLAS thread, 2-vCPU x86_64
-# VM, medians of 3 in two runs) takes 36-39 ms dense against 125 ms
-# Lanczos at 8 sites, 123-125 against 128-143 ms at 9 and 496-526 against
-# 142-190 ms at 10.  At 9 sites Lanczos is level on that trace and ahead on
-# shorter ones (t_max=0.6: 83 against 90 ms; t_max=0.3: 44 against 62 ms);
-# the limit stays at 9 because moving it would move 9-site payloads.
+# 51-sample `compute_trace` (t_max=1, dt=0.02, eigh included, one BLAS
+# thread, 2-vCPU x86_64 VM, medians of 3 in two runs) from the CLI's |+>
+# start takes 22 ms dense against 18-19 ms Lanczos at 8 sites, 73 against
+# 25 ms at 9 and 377 against 33-34 ms at 10; from a random state 22 against
+# 28, 98 against 37 and 411 against 58 ms.  Lanczos is ahead at 9 sites on
+# both; the limit stays at 9 because moving it would move 9-site payloads.
 EIGEN_SITE_LIMIT = 9
 
 # Largest register dense() materializes (a 2^12 x 2^12 float64 matrix is
@@ -50,12 +53,12 @@ DENSE_SITE_LIMIT = 12
 
 _NORM_ATOL = 1e-8
 
-# Lanczos propagator: at most this many basis vectors per step, grown this
-# many rows at a time; Saad's error estimate (dimensionless, so it does not
-# depend on the operator's scale) relative to the norm of the start vector;
-# steps longer than coefficient_scale() * |t| = 4 are split.
+# Lanczos propagator: at most this many basis vectors per step; Saad's error
+# estimate (dimensionless, so it does not depend on the operator's scale)
+# relative to the norm of the start vector; steps longer than
+# coefficient_scale() * |t| = 4 are split, and a trace window spans at most
+# that reach.
 _KRYLOV_MAX_VECTORS = 40
-_KRYLOV_CHUNK = 12
 _KRYLOV_TOL = 1e-15
 _KRYLOV_MAX_REACH = 4.0
 
@@ -91,11 +94,13 @@ class StateVector:
         amps = np.asarray(amplitudes, dtype=complex).ravel()
         n = _num_sites_for(amps.size)
         norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):
+            raise ValueError("amplitudes must be finite")
         if normalize:
             if norm == 0.0:
                 raise ValueError("cannot normalize the zero vector")
             amps = amps / norm
-        elif abs(norm - 1.0) > _NORM_ATOL:
+        elif not abs(norm - 1.0) <= _NORM_ATOL:
             raise ValueError(f"state norm {norm:.12g} is not 1 within {_NORM_ATOL}")
         self.amplitudes = amps
         self.num_sites = n
@@ -460,7 +465,8 @@ class _LanczosBasis:
     keeps it above the roundoff of the small exponential whatever the
     operator's scale.  A query's answer, one (dim, m) x (m, k) product,
     therefore does not depend on what was asked before it, while every
-    apply is paid once.
+    apply is paid once.  The vectors are the rows of one array that grows
+    by a row per apply, in place.
     """
 
     __slots__ = ("h", "dim", "scale", "vectors", "tri", "betas", "spectra", "_residual")
@@ -472,7 +478,7 @@ class _LanczosBasis:
         self.betas = []  # beta_m, the norm of the residual after m applies
         self.spectra = []  # eigh(T_m)
         if self.scale != 0.0:
-            self.vectors = np.empty((_KRYLOV_CHUNK, amps.size), dtype=complex)
+            self.vectors = np.empty((1, amps.size), dtype=complex)
             self.vectors[0] = amps / self.scale
             self.tri = np.zeros((_KRYLOV_MAX_VECTORS, _KRYLOV_MAX_VECTORS))
 
@@ -481,10 +487,9 @@ class _LanczosBasis:
         m = len(self.betas) + 1
         if m > 1:
             beta = self.betas[-1]
-            if m - 1 == self.vectors.shape[0]:
-                self.vectors = np.concatenate(
-                    [self.vectors, np.empty_like(self.vectors[:_KRYLOV_CHUNK])]
-                )
+            # in place: realloc remaps a large basis instead of copying it
+            # (and numpy refuses while any view of the rows is alive)
+            self.vectors.resize((m, self.dim))
             self.vectors[m - 1] = self._residual / beta
             self.tri[m - 1, m - 2] = self.tri[m - 2, m - 1] = beta
         basis = self.vectors[:m]
@@ -497,45 +502,78 @@ class _LanczosBasis:
         self.spectra.append(np.linalg.eigh(self.tri[:m, :m]))
         self._residual = w
 
-    def propagate(self, times: np.ndarray) -> np.ndarray:
-        """exp(-i H t_j) amps for every t_j, as (dim, k)."""
-        if self.scale == 0.0:
-            return np.zeros((self.dim, times.size), dtype=complex)
+    def _size(self, times: np.ndarray, least: int):
+        """The smallest size m >= ``least`` (or at a breakdown, beta_m = 0)
+        whose error estimate passes for every offset, with the coefficients
+        ``exp(-i T_m t_j) e_1`` as (m, k)."""
         for m in range(1, _KRYLOV_MAX_VECTORS + 1):
             if m > len(self.betas):
                 self._grow()
             evals, evecs = self.spectra[m - 1]
             coeffs = evecs @ (evecs[0][:, None] * np.exp(-1j * np.outer(evals, times)))
             estimate = self.betas[m - 1] * float(np.max(np.abs(times * coeffs[-1]), initial=0.0))
-            if estimate <= _KRYLOV_TOL:
-                return self.scale * (self.vectors[:m].T @ coeffs)
+            if estimate <= _KRYLOV_TOL and (m >= least or self.betas[m - 1] == 0.0):
+                return m, coeffs
         raise IntegrationError(
             f"Krylov step did not converge: Lanczos error estimate {estimate:.3g} "
             f"after {_KRYLOV_MAX_VECTORS} vectors (|t| up to {np.max(np.abs(times)):.6g})"
         )
 
+    def propagate(self, times: np.ndarray) -> np.ndarray:
+        """exp(-i H t_j) amps for every t_j, as (dim, k)."""
+        if self.scale == 0.0:
+            return np.zeros((self.dim, times.size), dtype=complex)
+        m, coeffs = self._size(times, 1)
+        return self.scale * (self.vectors[:m].T @ coeffs)
 
-def _krylov_times(amps: np.ndarray, h: PauliTermSum, times, basis: _LanczosBasis) -> np.ndarray:
-    """exp(-i H t_j) amps for every t_j, as (dim, k).
+    def moments(self, times: np.ndarray) -> np.ndarray:
+        """``H^p exp(-i H t_j) amps`` for p = 0, 1, 2, as (k, 3, dim).
+
+        ``scale * V_m T_m^p y`` with ``y = exp(-i T_m t) e_1``: since
+        ``H V_m = V_m T_m + beta_m v_{m+1} e_m^T``, this drops terms led by
+        ``beta_m |e_m^T y|``, the error estimate over ``|t|``.  At least
+        three vectors are taken, so the offset t = 0 gives H psi and
+        H^2 psi exactly.
+        """
+        if self.scale == 0.0:
+            return np.zeros((times.size, 3, self.dim), dtype=complex)
+        m, _ = self._size(times, 3)
+        evals, evecs = self.spectra[m - 1]
+        weights = evecs[0][:, None] * np.exp(-1j * np.outer(evals, times))
+        powers = weights[:, :, None] * evals[:, None, None] ** np.arange(3)
+        out = (evecs @ powers.reshape(m, -1)).T @ self.vectors[:m]
+        out *= self.scale
+        return out.reshape(times.size, 3, self.dim)
+
+
+def _krylov_times(amps: np.ndarray, h: PauliTermSum, times, basis: _LanczosBasis,
+                  moments: bool = False) -> np.ndarray:
+    """exp(-i H t_j) amps for every t_j, as (dim, k); with ``moments``,
+    ``H^p exp(-i H t_j) amps`` for p = 0, 1, 2, as (k, 3, dim).
 
     ``basis`` is the Lanczos basis at ``amps``.  All offsets share it when
     ``coefficient_scale() * |t|`` is at most 4 for each; otherwise every
     offset is reached on its own by equal substeps that each stay within
-    that bound, the first from ``basis`` and the rest from fresh bases.
+    that bound, the first from ``basis`` and the rest from fresh bases, and
+    the last substep's basis answers the query.
     """
     times = np.asarray(times, dtype=float)
     scale = h.coefficient_scale()
+    if not math.isfinite(scale):
+        raise IntegrationError(f"operator scale {scale} is not finite")
+    query = _LanczosBasis.moments if moments else _LanczosBasis.propagate
     if scale * np.max(np.abs(times), initial=0.0) <= _KRYLOV_MAX_REACH:
-        return basis.propagate(times)
-    cols = []
+        return query(basis, times)
+    out = []
     for t in times:
         steps = math.ceil(scale * abs(t) / _KRYLOV_MAX_REACH)
-        col = amps
-        for j in range(steps):
-            sub = np.array([t / steps])
-            col = (basis if j == 0 else _LanczosBasis(col, h)).propagate(sub)[:, 0]
-        cols.append(col)
-    return np.column_stack(cols)
+        sub = np.array([t / max(steps, 1)])
+        at = basis
+        for _ in range(steps - 1):
+            at = _LanczosBasis(at.propagate(sub)[:, 0], h)
+        # the zero offset evolves nothing: the start vector itself
+        out.append(query(at, sub) if steps or moments else amps[:, None])
+    return np.concatenate(out, axis=0 if moments else 1)
 
 
 def _to_eigenbasis(evecs: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -590,13 +628,14 @@ def _finite_times(times) -> np.ndarray:
 def _unit_columns(out: np.ndarray) -> np.ndarray:
     # per-column BLAS norms: an axis reduction sums sequentially, and its
     # roundoff, different in every column, would leak into the stencils'
-    # entropy differences
+    # entropy differences; a drift past 1e-10 raises
     cols = out.reshape(out.shape[0], -1)
-    nrm = [float(np.linalg.norm(col)) for col in cols.T]
-    worst = max(nrm, key=lambda v: abs(v - 1.0))
-    if abs(worst - 1.0) > 1e-10:
+    nrm = np.array([float(np.linalg.norm(col)) for col in cols.T])
+    # argmax takes a NaN norm first, and no NaN passes the comparison
+    worst = float(nrm[np.argmax(np.abs(nrm - 1.0))])
+    if not abs(worst - 1.0) <= 1e-10:
         raise IntegrationError(f"evolution drifted the norm to {worst:.12g}")
-    return (cols / np.array(nrm)).reshape(out.shape)
+    return (cols / nrm).reshape(out.shape)
 
 
 def evolve(psi: StateVector, h: PauliTermSum, dt: float) -> StateVector:
@@ -611,9 +650,8 @@ def evolve(psi: StateVector, h: PauliTermSum, dt: float) -> StateVector:
     ``-i H dt`` is at most 1e-15 of the state's norm, and evolutions with
     ``coefficient_scale() * |dt| > 4`` are split into equal substeps; a
     step that does not converge within 40 basis vectors raises
-    :class:`IntegrationError`, as does a norm drift beyond 1e-10.  A step
-    that shares its state with other evolutions, as the sampling loop's
-    step shares it with the entropy stencils, is cheaper on one kept
+    :class:`IntegrationError`, as does a norm drift beyond 1e-10 (a NaN
+    included).  Several queries on one state are cheaper on one kept
     :class:`Propagator`, which returns the same bits.
     """
     return Propagator(psi, h).evolve(dt)
@@ -637,7 +675,7 @@ class Propagator:
     block, for any number of queries.
 
     This is the only propagation route.  What the queries share is computed
-    once, on first use: on the dense path the coefficients in the cached
+    once, on construction: on the dense path the coefficients in the cached
     eigenbasis (one rotation of the whole block), above ``EIGEN_SITE_LIMIT``
     one Lanczos basis per column, grown only as far as the hardest query so
     far has needed.  Each answer equals, bit for bit, the same query on a
@@ -647,7 +685,7 @@ class Propagator:
     only as long as the caller keeps it; there is no cache beyond it.
     """
 
-    __slots__ = ("psi", "h", "method", "_amps", "_coeffs", "_bases")
+    __slots__ = ("h", "method", "_amps", "_coeffs", "_bases")
 
     def __init__(self, psi, h: PauliTermSum):
         amps = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi, dtype=complex)
@@ -655,12 +693,14 @@ class Propagator:
             raise ValueError(
                 f"amplitudes of shape {amps.shape} evolved by an operator on {h.num_sites} sites"
             )
-        self.psi = psi
         self.h = h
         self.method = _path(h)
         self._amps = amps
-        self._coeffs = None  # dense path: the amplitudes in the cached eigenbasis
+        # the amplitudes in the eigenbasis of the path (diagonal: as given)
+        self._coeffs = _to_eigenbasis(h.eigensystem()[1], amps) if self.method == "dense" else amps
         self._bases = None  # Krylov path: one Lanczos basis per column
+        if self.method == "krylov":
+            self._bases = [_LanczosBasis(col, h) for col in ([amps] if amps.ndim == 1 else amps.T)]
 
     def propagate(self, times) -> np.ndarray:
         """exp(-i H t_j) applied for every offset, not renormalized.
@@ -672,16 +712,36 @@ class Propagator:
         amps = self._amps
         if self.method == "krylov":
             cols = [amps] if amps.ndim == 1 else list(amps.T)
-            if self._bases is None:
-                self._bases = [_LanczosBasis(col, self.h) for col in cols]
             out = [_krylov_times(c, self.h, times, b) for c, b in zip(cols, self._bases)]
             return out[0] if amps.ndim == 1 else np.stack(out, axis=1)
         if self.method == "diagonal":
             return amps[..., None] * self._phases(self.h.diagonal(), times)
         evals, evecs = self.h.eigensystem()
-        if self._coeffs is None:
-            self._coeffs = _to_eigenbasis(evecs, amps)
         return _from_eigenbasis(evecs, self._coeffs[..., None] * self._phases(evals, times))
+
+    def moments(self, times) -> np.ndarray:
+        """``H^p exp(-i H t_j) |psi>`` for p = 0, 1, 2 and every offset, as
+        (k, 3, dim), not renormalized (a propagator over a state only).
+
+        Each offset's three vectors are contiguous rows.  Diagonal path: the
+        phases times ``d^p``.  Dense path: one product back from the
+        eigenbasis of the coefficients times ``[1, E, E^2]`` and the phases.
+        Above ``EIGEN_SITE_LIMIT``: the state's Lanczos basis
+        (:meth:`_LanczosBasis.moments`) takes every offset at once within
+        ``coefficient_scale() * |t| = 4``; beyond it each offset is reached
+        by equal substeps, as in :meth:`propagate`.
+        """
+        times = _finite_times(times)
+        if self._amps.ndim != 1:
+            raise ValueError("moments are taken of a state, not of a block")
+        if self.method == "krylov":
+            return _krylov_times(self._amps, self.h, times, self._bases[0], moments=True)
+        energies = self.h.diagonal() if self.method == "diagonal" else self.h.eigensystem()[0]
+        terms = self._coeffs * energies ** np.arange(3)[:, None]
+        out = np.exp(-1j * np.outer(times, energies))[:, None] * terms
+        if self.method == "dense":
+            out = np.ascontiguousarray(_from_eigenbasis(self.h.eigensystem()[1], out.T).T)
+        return out
 
     def _phases(self, energies: np.ndarray, times: np.ndarray) -> np.ndarray:
         phases = np.exp(-1j * (energies[:, None] * times))
@@ -697,6 +757,23 @@ class Propagator:
         if not math.isfinite(dt):
             raise ValueError("dt must be finite")
         return StateVector(self.evolve_times([dt])[..., 0])
+
+
+def moment_window(psi: StateVector, h: PauliTermSum, dt: float, first: int, last: int):
+    """Yields ``(j, state, moments)`` for the offsets ``j * dt``, ``j =
+    first, first + 1, ...``, from one :meth:`Propagator.moments` query at
+    ``psi``: ``moments`` is the offset's row (a view of the window's block)
+    and ``state`` its first vector, renormalized and drift-guarded.  The
+    window stops at ``last`` or at the Lanczos reach, ``coefficient_scale()
+    * j * dt <= 4``, on every path, but takes at least one step.
+    """
+    reach = h.coefficient_scale() * dt
+    if reach > 0.0:
+        last = min(last, max(1, math.floor(_KRYLOV_MAX_REACH / reach)))
+    offsets = np.arange(first, last + 1)
+    block = Propagator(psi, h).moments(offsets * dt)
+    for j, moments in zip(offsets.tolist(), block):
+        yield j, StateVector(_unit_columns(moments[0])), moments
 
 
 def partial_trace_system(psi: StateVector, split: BipartiteSplit | None = None) -> DensityMatrix:

@@ -1,9 +1,12 @@
 """Von Neumann entropy of the system qubit and its first two time derivatives.
 
 Entropy is reported in nats throughout; the rate formulas then carry no
-base-conversion factors.  The derivative estimators regularize the
-``0 * log 0`` singularity at product states with an eigenvalue cutoff,
-because product states are exactly where collapse dynamics operates.
+base-conversion factors.  The speed and acceleration are closed forms in
+psi, H psi and H^2 psi (:func:`_entropy_rates`): the entropy is a function
+of the reduced state's Gram determinant alone, whose derivatives are sums
+of 2x2 Gram blocks.  At a product state, exactly where collapse dynamics
+operates, the speed is 0 and the acceleration infinite, so there the
+acceleration is the one-sided second difference of exact short evolutions.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +25,13 @@ LN2 = math.log(2.0)
 # eigenvalues below this contribute 0 to -sum(lam * ln(lam))
 EIG_CUTOFF = 1e-12
 
-# below this smallest eigenvalue, d(entropy)/dt is ill-conditioned and the
-# analytic rate formula falls back to finite differences
-ANALYTIC_MIN_EIGENVALUE = 1e-10
-
-DEFAULT_FD_STEP = 1e-4
 DEFAULT_ACCEL_STEP = 1e-3
 # smallest acceleration stencil step: below it the delta**-2 division turns
 # entropy roundoff into noise
 MIN_ACCEL_STEP = 1e-8
-RICHARDSON_REPORT_TOL = 1e-4
+# below this entropy (nats) a sample counts as a product state, whose
+# acceleration comes from the one-sided stencil
+PRODUCT_ENTROPY = 1e-9
 
 TRACE_COLUMNS = ("t", "epsilon", "epsilon_dot", "epsilon_ddot")
 
@@ -92,79 +91,73 @@ def block_entropies(block: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _richardson_speed(prop: core.Propagator, fd_step: float) -> tuple[float, float]:
-    """Central difference of the entropy with one Richardson halving.
+def _pair(x: tuple, y: tuple) -> float:
+    """``det(X + Y) - det(X) - det(Y)`` for Hermitian 2x2 matrices given as
+    ``(x00, x11, x01)``."""
+    return x[0] * y[1] + x[1] * y[0] - 2.0 * (x[2] * y[2].conjugate()).real
 
-    Returns the speed at ``prop.psi`` and the disagreement of the two
-    levels; raises no warning, so the sampling loop needs no warning
-    filter.  The four offsets +-fd_step and +-fd_step/2 come from one query
-    on the state's propagator: on the dense path one matrix product back
-    from the eigenbasis, above ``core.EIGEN_SITE_LIMIT`` the state's
-    Lanczos basis.
+
+def _entropy_rates(moments: np.ndarray) -> tuple[float, float]:
+    """S' and S'' of the system qubit from psi, H psi and H^2 psi, the
+    rows of a contiguous (3, dim) array; psi need not be normalized.
+
+    With ``M = psi.reshape(2, -1)``, ``A = -i (H psi).reshape(2, -1)`` and
+    ``B = -(H^2 psi).reshape(2, -1)``, the reduced state ``rho = M M^H`` has
+    ``rho' = A M^H + M A^H`` and ``rho'' = B M^H + 2 A A^H + M B^H``, and
+    its Gram determinant D (the product of its eigenvalues) has
+    ``D' = P(rho, rho')`` and ``D'' = P(rho, rho'') + P(rho', rho')`` with
+    :func:`_pair` as P.  The entropy is a function of D alone: with
+    ``s = sqrt(1 - 4D)``, ``S' = D' 2 atanh(s)/s`` and
+    ``S'' = (D'' + 2 D'^2/s^2) 2 atanh(s)/s - D'^2/(s^2 D)``; below
+    ``s = 0.05`` (a nearly maximally mixed qubit) both weights come from
+    their series.  At D <= 0 (an exact product state) S' is 0 and S'' is
+    +inf.  Each Gram entry is a sum along a contiguous row, as in
+    :func:`block_entropies`, so its bits do not depend on BLAS threads.
     """
-    half = 0.5 * fd_step
-    s = block_entropies(prop.evolve_times([fd_step, -fd_step, half, -half]))
-    d_full = float(s[0] - s[1]) / (2.0 * fd_step)
-    d_half = float(s[2] - s[3]) / (2.0 * half)
-    # one Richardson halving: cancels the O(h^2) error of the central stencil
-    return (4.0 * d_half - d_full) / 3.0, abs(d_half - d_full)
+    rows = moments.reshape(6, -1)  # m0, m1, (H psi)0, 1, (H^2 psi)0, 1
+    conj = rows[:4].conj()
+    g = [(row * conj[:2]).sum(axis=-1).tolist() for row in rows]  # g[i][j] = <m_j, row_i>
+    hh = [(row * conj[2:]).sum(axis=-1).tolist() for row in rows[2:4]]
+    rho = (g[0][0].real, g[1][1].real, g[0][1])
+    rho1 = (2.0 * g[2][0].imag, 2.0 * g[3][1].imag, 1j * (g[3][0].conjugate() - g[2][1]))
+    rho2 = (
+        2.0 * (hh[0][0] - g[4][0]).real,
+        2.0 * (hh[1][1] - g[5][1]).real,
+        2.0 * hh[0][1] - g[4][1] - g[5][0].conjugate(),
+    )
+    norm2 = (rho[0] + rho[1]) ** 2  # D and its derivatives are quadratic in psi
+    d = 0.5 * _pair(rho, rho) / norm2
+    if not d > 0.0:
+        return 0.0, math.inf
+    d1 = _pair(rho, rho1) / norm2
+    d2 = (_pair(rho, rho2) + _pair(rho1, rho1)) / norm2
+    s = math.sqrt(max(1.0 - 4.0 * d, 0.0))
+    if s < 0.05:
+        # 2 atanh(s)/s = 2 sum s^2k/(2k+1); (4 atanh(s)/s - 1/D)/s^2 =
+        # -4 sum_{k>=1} 2k/(2k+1) s^(2k-2); eight terms leave under 1e-20
+        s2 = s * s
+        weight = 2.0 * sum(s2**k / (2 * k + 1) for k in range(8))
+        curvature = -4.0 * sum(2 * k / (2 * k + 1) * s2 ** (k - 1) for k in range(1, 9))
+    else:
+        # 2 atanh(s) = ln((1 + s)^2 / (4D)), which keeps D's digits near a
+        # product state, where 1 - s loses them
+        weight = (2.0 * math.log1p(s) - math.log(4.0 * d)) / s
+        curvature = (2.0 * weight - 1.0 / d) / (s * s)
+    return d1 * weight, d2 * weight + d1 * d1 * curvature
 
 
-def _finite_diff_speed(psi, h, fd_step: float) -> float:
-    """:func:`_richardson_speed`, warning when its levels disagree by more
-    than ``RICHARDSON_REPORT_TOL``."""
-    speed, gap = _richardson_speed(core.Propagator(psi, h), fd_step)
-    if gap > RICHARDSON_REPORT_TOL:
-        warnings.warn(
-            f"entangling-speed finite difference is step sensitive: "
-            f"levels differ by {gap:.3e}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return speed
+def _one_sided(psi: core.StateVector, h: core.PauliTermSum, delta: float) -> float:
+    """(eps(2 delta) - 2 eps(delta)) / delta^2 at a product state, where the
+    entropy and its speed vanish and S'' is infinite."""
+    e1, e2 = block_entropies(core.evolve_times(psi, h, [delta, 2.0 * delta]))
+    return float(e2 - 2.0 * e1) / delta**2
 
 
-def entangling_speed(
-    psi: core.StateVector,
-    h: core.PauliTermSum,
-    method: str = "analytic",
-    fd_step: float = DEFAULT_FD_STEP,
-) -> float:
-    """d(entropy)/dt of the system qubit at the given instant.
-
-    ``analytic`` evaluates -Tr(rho_dot ln rho) with
-    rho_dot = Tr_env(-i [H, |psi><psi|]); when the reduced state has an
-    eigenvalue below ``ANALYTIC_MIN_EIGENVALUE`` the logarithm is
-    ill-conditioned, so the call falls back to ``finite_diff`` and reports
-    the fallback with a warning.  ``finite_diff`` uses a central difference
-    with one Richardson halving and warns when the two levels disagree by
-    more than ``RICHARDSON_REPORT_TOL``.
-    """
-    if method not in ("analytic", "finite_diff"):
-        raise ValueError(f"unknown entangling-speed method {method!r}")
-    if fd_step <= 0.0:
-        raise ValueError("fd_step must be positive")
-    if method == "finite_diff":
-        return _finite_diff_speed(psi, h, fd_step)
-
-    amps = psi.amplitudes
-    rho = core.partial_trace_system(psi).entries
-    lams, vecs = np.linalg.eigh(rho)
-    if float(lams.min()) < ANALYTIC_MIN_EIGENVALUE:
-        warnings.warn(
-            "reduced state is nearly pure; analytic entangling speed is "
-            "ill-conditioned, falling back to finite differences",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _finite_diff_speed(psi, h, fd_step)
-
-    hpsi = core.apply_operator(h, amps)
-    phi = hpsi.reshape(2, -1)
-    mat = amps.reshape(2, -1)
-    rho_dot = -1j * (phi @ mat.conj().T - mat @ phi.conj().T)
-    lam_dots = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), rho_dot, vecs))
-    return float(-np.sum(lam_dots * np.log(lams)))
+def entangling_speed(psi: core.StateVector, h: core.PauliTermSum) -> float:
+    """d(entropy)/dt of the system qubit at the given instant, in closed
+    form (:func:`_entropy_rates`) from one ``moments([0])`` query; 0 at a
+    product state."""
+    return _entropy_rates(core.Propagator(psi, h).moments([0.0])[0])[0]
 
 
 def _check_accel_step(delta: float) -> None:
@@ -179,26 +172,18 @@ def entangling_acceleration(
     h: core.PauliTermSum,
     delta: float = DEFAULT_ACCEL_STEP,
 ) -> float:
-    """d^2(entropy)/dt^2 via second differences of exact short evolutions.
+    """d^2(entropy)/dt^2 of the system qubit, in closed form from psi, H psi
+    and H^2 psi (:func:`_entropy_rates`).
 
-    At a product state both the entropy and its first derivative vanish, so
-    the one-sided stencil (eps(2d) - 2 eps(d)) / d^2 applies; elsewhere the
-    symmetric second difference is used.  Both offsets come from one query
-    on a :class:`core.Propagator`.  ``delta`` must be at least
-    ``MIN_ACCEL_STEP``.
+    Where the entropy is below ``PRODUCT_ENTROPY`` (a product state, where
+    the true value is +inf) it is the one-sided stencil
+    ``(eps(2 delta) - 2 eps(delta)) / delta^2`` instead, from exact short
+    evolutions; ``delta`` must be at least ``MIN_ACCEL_STEP``.
     """
     _check_accel_step(delta)
-    return _acceleration(core.Propagator(psi, h), delta, state_entropy(psi))
-
-
-def _acceleration(prop: core.Propagator, delta: float, eps0: float) -> float:
-    """:func:`entangling_acceleration` at ``prop.psi``, whose entropy is
-    ``eps0``, from one query on the state's propagator."""
-    if eps0 < 1e-9:
-        e1, e2 = block_entropies(prop.evolve_times([delta, 2.0 * delta]))
-        return float(e2 - 2.0 * e1) / delta**2
-    e_plus, e_minus = block_entropies(prop.evolve_times([delta, -delta]))
-    return float(e_plus - 2.0 * eps0 + e_minus) / delta**2
+    if state_entropy(psi) < PRODUCT_ENTROPY:
+        return _one_sided(psi, h, delta)
+    return _entropy_rates(core.Propagator(psi, h).moments([0.0])[0])[1]
 
 
 @dataclass
@@ -272,7 +257,6 @@ def _sample(
     h: core.PauliTermSum,
     dt: float,
     steps: int,
-    fd_step: float,
     accel_delta: float,
     model_tag: str,
     on_sample=None,
@@ -280,41 +264,40 @@ def _sample(
     """The one sampling loop behind :func:`compute_trace` and
     :func:`collapse.run_trajectory`.
 
-    Samples entropy, finite-difference speed and acceleration at
-    ``k * dt`` for ``k = 0 .. steps``.  Each sampled state gets one
-    :class:`core.Propagator`, which serves the speed's four offsets, the
-    acceleration's two and the step ``dt`` to the next sample: above
-    ``core.EIGEN_SITE_LIMIT`` from one Lanczos basis, on the dense path
-    from one rotation into the eigenbasis.  Every value equals, bit for bit,
-    that of ``core.evolve(state, h, dt)`` followed by the public
-    finite-difference speed and :func:`entangling_acceleration`.
-    ``on_sample(t, state, epsilon_dot)`` runs after each sample and returns
-    the state to continue from, which is how a trajectory substitutes a
-    collapsed branch; a new state gets a new propagator.  Finite
-    differences are used because samples routinely pass through
-    (near-)product states, where the analytic formula would fall back
-    anyway.  The loop calls the non-warning :func:`_richardson_speed`, so
-    it installs no warning filter (``warnings.catch_warnings`` is not
-    thread safe, and ``--jobs`` runs this loop in threads).
+    Samples entropy, speed and acceleration at ``k * dt`` for
+    ``k = 0 .. steps``, the derivatives in closed form
+    (:func:`_entropy_rates`).  One :func:`core.moment_window` serves a
+    window of ``J = floor(4 / (coefficient_scale() * dt))`` samples (at
+    least one) through one :meth:`core.Propagator.moments` query: one
+    product back from the eigenbasis, or one Lanczos basis within its
+    reach.  Each sample's state is renormalized and drift-guarded there; the
+    window's last state starts the next window.  A product state (entropy
+    below ``PRODUCT_ENTROPY``) takes its acceleration from the one-sided
+    stencil.  ``on_sample(t, state, epsilon_dot)`` runs once after each
+    sample, in order, and returns the state to continue from, which is how
+    a trajectory substitutes a collapsed branch; a new state ends the window
+    and starts the next.
     """
-    if fd_step <= 0.0:
-        raise ValueError("fd_step must be positive")
     _check_accel_step(accel_delta)
     times = np.arange(steps + 1) * dt
     eps = np.empty(steps + 1)
     eps_dot = np.empty(steps + 1)
     eps_ddot = np.empty(steps + 1)
-    prop = core.Propagator(initial, h)
-    for k in range(steps + 1):
-        if k > 0:
-            prop = core.Propagator(prop.evolve(dt), h)
-        eps[k] = state_entropy(prop.psi)
-        eps_dot[k], _ = _richardson_speed(prop, fd_step)
-        eps_ddot[k] = _acceleration(prop, accel_delta, eps[k])
-        if on_sample is not None:
-            state = on_sample(float(times[k]), prop.psi, eps_dot[k])
-            if state is not prop.psi:
-                prop = core.Propagator(state, h)
+    state, start, k = initial, 0, 0  # the window's state is at times[start]; k is the next sample
+    while k <= steps:
+        for j, psi, moments in core.moment_window(state, h, dt, k - start, steps - start):
+            k = start + j
+            eps[k] = state_entropy(psi)
+            eps_dot[k], eps_ddot[k] = _entropy_rates(moments)
+            if eps[k] < PRODUCT_ENTROPY:
+                eps_ddot[k] = _one_sided(psi, h, accel_delta)
+            state = psi
+            if on_sample is not None:
+                state = on_sample(float(times[k]), psi, eps_dot[k])
+                if state is not psi:
+                    break
+        del moments  # a view of the window's block, before the next window's is made
+        start, k = k, k + 1
     return EntanglementTrace(times, eps, eps_dot, eps_ddot, model_tag, initial.n_env)
 
 
@@ -323,7 +306,6 @@ def compute_trace(
     h: core.PauliTermSum,
     t_max: float,
     dt: float,
-    fd_step: float = DEFAULT_FD_STEP,
     accel_delta: float = DEFAULT_ACCEL_STEP,
     model_tag: str = "custom",
 ) -> EntanglementTrace:
@@ -335,7 +317,7 @@ def compute_trace(
     if t_max <= 0.0 or dt <= 0.0:
         raise ValueError("t_max and dt must be positive")
     steps = int(round(t_max / dt))
-    return _sample(initial, h, dt, steps, fd_step, accel_delta, model_tag)
+    return _sample(initial, h, dt, steps, accel_delta, model_tag)
 
 
 def first_speed_peak(trace: EntanglementTrace, floor: float = 1e-6) -> tuple[int, float, float]:

@@ -11,13 +11,18 @@
   (``"diagonal"``, ``"dense"``, ``"krylov"`` or ``"auto"``), rotating into
   the eigenbasis and building fresh Lanczos bases on every call, which
   ``core.Propagator`` replaced;
+* ``richardson_speed`` / ``stencil_acceleration``: the entropy's
+  finite-difference speed (a central difference at +-fd_step with one
+  Richardson halving) and second-difference acceleration (symmetric, or
+  one-sided at a product state), which the closed form
+  ``entanglement._entropy_rates`` replaced; ``richardson_acceleration``
+  extrapolates the symmetric stencil over delta and delta / 2;
 * ``sample_per_call``: the sampling loop that evolved its state afresh for
-  the step and for each stencil, through ``core.evolve`` and the public
-  finite-difference speed and acceleration.
+  every sample (``core.evolve`` over one ``dt``) and took the speed and
+  acceleration from the stencils on that state.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -113,12 +118,50 @@ def evolve_on_path(psi, h, dt, path):
     return core.StateVector(out / np.linalg.norm(out))
 
 
-def sample_per_call(initial, h, dt, steps, fd_step, accel_delta, model_tag, on_sample=None):
-    """``entanglement._sample`` by one public call per quantity and sample.
+FD_STEP = 1e-4
 
-    Above ``core.EIGEN_SITE_LIMIT`` this builds three Lanczos bases per
-    sample (the step, the speed, the acceleration), and on the dense path
-    three rotations into the eigenbasis.
+
+def _entropies(psi, h, offsets):
+    return entanglement.block_entropies(core.evolve_times(psi, h, offsets))
+
+
+def richardson_speed(psi, h, fd_step=FD_STEP):
+    """Central difference of the entropy at +-fd_step and +-fd_step/2, with
+    one Richardson halving."""
+    half = 0.5 * fd_step
+    s = _entropies(psi, h, [fd_step, -fd_step, half, -half])
+    d_full = float(s[0] - s[1]) / (2.0 * fd_step)
+    d_half = float(s[2] - s[3]) / (2.0 * half)
+    return (4.0 * d_half - d_full) / 3.0
+
+
+def stencil_acceleration(psi, h, delta=entanglement.DEFAULT_ACCEL_STEP):
+    """Second difference of the entropy: one-sided at a product state,
+    symmetric elsewhere."""
+    eps0 = entanglement.state_entropy(psi)
+    if eps0 < entanglement.PRODUCT_ENTROPY:
+        e1, e2 = _entropies(psi, h, [delta, 2.0 * delta])
+        return float(e2 - 2.0 * e1) / delta**2
+    e_plus, e_minus = _entropies(psi, h, [delta, -delta])
+    return float(e_plus - 2.0 * eps0 + e_minus) / delta**2
+
+
+def richardson_acceleration(psi, h, delta=entanglement.DEFAULT_ACCEL_STEP):
+    """The symmetric second difference at delta and delta / 2, with one
+    Richardson halving."""
+    eps0 = entanglement.state_entropy(psi)
+    s = _entropies(psi, h, [delta, -delta, delta / 2, -delta / 2])
+    full = float(s[0] - 2.0 * eps0 + s[1]) / delta**2
+    half = float(s[2] - 2.0 * eps0 + s[3]) / (delta / 2) ** 2
+    return (4.0 * half - full) / 3.0
+
+
+def sample_per_call(initial, h, dt, steps, accel_delta, model_tag, on_sample=None):
+    """``entanglement._sample`` by one evolution and two stencils per sample.
+
+    Each sample's state is the last one evolved by ``dt`` on a fresh
+    propagator, its speed is :func:`richardson_speed` and its acceleration
+    :func:`stencil_acceleration`.
     """
     times = np.arange(steps + 1) * dt
     eps, eps_dot, eps_ddot = (np.empty(steps + 1) for _ in range(3))
@@ -127,13 +170,8 @@ def sample_per_call(initial, h, dt, steps, fd_step, accel_delta, model_tag, on_s
         if k > 0:
             state = core.evolve(state, h, dt)
         eps[k] = entanglement.state_entropy(state)
-        with warnings.catch_warnings():
-            # the public speed warns where the Richardson levels disagree
-            warnings.simplefilter("ignore", RuntimeWarning)
-            eps_dot[k] = entanglement.entangling_speed(
-                state, h, method="finite_diff", fd_step=fd_step
-            )
-        eps_ddot[k] = entanglement.entangling_acceleration(state, h, delta=accel_delta)
+        eps_dot[k] = richardson_speed(state, h)
+        eps_ddot[k] = stencil_acceleration(state, h, accel_delta)
         if on_sample is not None:
             state = on_sample(float(times[k]), state, eps_dot[k])
     return entanglement.EntanglementTrace(

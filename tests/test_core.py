@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from propagation_oracles import evolve_on_path, evolve_rk4
-from qcollapse import core
+from qcollapse import core, entanglement
 
 # independent dense oracle: build matrices from scratch, no shared code with
 # the bit-twiddling application path
@@ -39,6 +39,30 @@ def test_state_vector_requires_normalization():
         core.StateVector(np.array([1.0, 1.0]))
     sv = core.StateVector(np.array([1.0, 1.0]), normalize=True)
     assert sv.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_non_finite_amplitudes_fail_every_guard():
+    # a NaN compares False with every tolerance, so each guard asks whether
+    # the value is inside it, not whether it is outside
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            core.StateVector(np.array([bad, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            core.StateVector(np.array([bad, 1.0]), normalize=True)
+    # the coefficients sum to inf: the propagated amplitudes are NaN
+    h = core.PauliTermSum([(1e308, "XI"), (1e308, "ZZ"), (1e308, "IX")])
+    psi = core.StateVector.uniform_plus(2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(core.IntegrationError, match="drifted the norm to nan"):
+            core.evolve(psi, h, 0.1)
+        with pytest.raises(core.IntegrationError, match="drifted the norm to nan"):
+            entanglement.compute_trace(psi, h, t_max=0.1, dt=0.05)
+    # above EIGEN_SITE_LIMIT the Lanczos path cannot split an infinite reach
+    h = core.PauliTermSum([(1e308, "X" + "I" * 9), (1e308, "ZZ" + "I" * 8), (1e308, "IX" + "I" * 8)])
+    psi = core.StateVector.uniform_plus(10)
+    for run in (lambda: core.evolve(psi, h, 0.1), lambda: entanglement.compute_trace(psi, h, 0.1, 0.05)):
+        with pytest.raises(core.IntegrationError, match="scale inf is not finite"):
+            run()
 
 
 def test_state_vector_rejects_bad_length():

@@ -2,7 +2,8 @@
 
 Oracles: the Kronecker-product build of a Pauli sum, one ``core.evolve``
 call per time offset, and the per-offset entropy stencils that used one
-evolution and one ``state_entropy`` per offset.
+evolution and one ``state_entropy`` per offset (against the batched
+stencils of ``propagation_oracles``, one ``evolve_times`` query each).
 """
 
 import math
@@ -11,6 +12,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from propagation_oracles import FD_STEP, richardson_speed, stencil_acceleration
 from qcollapse import core, entanglement
 
 _PAULI = {
@@ -190,10 +192,11 @@ STENCIL_MODELS = [core.transverse_coupled(6), core.degenerate_ising(6, g=0.9)]
 
 @pytest.mark.parametrize("h", STENCIL_MODELS, ids=["dense", "diagonal"])
 def test_stencils_match_per_offset_oracle_on_random_state(rng, h):
+    # the batched stencils of propagation_oracles: one evolve_times query
     psi = random_state(rng, h.num_sites)
-    speed = entanglement.entangling_speed(psi, h, method="finite_diff")
-    accel = entanglement.entangling_acceleration(psi, h)
-    assert speed == pytest.approx(oracle_speed(psi, h, entanglement.DEFAULT_FD_STEP), rel=1e-9)
+    speed = richardson_speed(psi, h)
+    accel = stencil_acceleration(psi, h)
+    assert speed == pytest.approx(oracle_speed(psi, h, FD_STEP), rel=1e-9)
     assert accel == pytest.approx(
         oracle_acceleration(psi, h, entanglement.DEFAULT_ACCEL_STEP), rel=1e-9
     )
@@ -209,9 +212,8 @@ def test_stencils_match_per_offset_oracle_on_product_state(h):
         oracle_acceleration(psi, h, entanglement.DEFAULT_ACCEL_STEP), rel=1e-9
     )
     # at a product state the entropy is even in t, so the speed is pure roundoff
-    speed = entanglement.entangling_speed(psi, h, method="finite_diff")
-    assert speed == pytest.approx(oracle_speed(psi, h, entanglement.DEFAULT_FD_STEP),
-                                  rel=1e-9, abs=1e-9)
+    speed = richardson_speed(psi, h)
+    assert speed == pytest.approx(oracle_speed(psi, h, FD_STEP), rel=1e-9, abs=1e-9)
 
 
 def test_stencils_along_a_dense_trace_match_oracle():
@@ -219,7 +221,7 @@ def test_stencils_along_a_dense_trace_match_oracle():
     state = tilted_product(h.num_sites, math.pi / 2, math.pi / 2 - 0.05)
     for _ in range(8):
         state = core.evolve(state, h, 0.05)
-        speed = entanglement.entangling_speed(state, h, method="finite_diff")
+        speed = richardson_speed(state, h)
         assert speed == pytest.approx(oracle_speed(state, h, 1e-4), rel=1e-9, abs=1e-12)
-        accel = entanglement.entangling_acceleration(state, h, delta=1e-3)
+        accel = stencil_acceleration(state, h, 1e-3)
         assert accel == pytest.approx(oracle_acceleration(state, h, 1e-3), rel=1e-9)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from propagation_oracles import richardson_acceleration, richardson_speed, stencil_acceleration
 from qcollapse import core, entanglement, experiment
 
 
@@ -71,37 +72,38 @@ def test_analytic_reduced_eigenvalues_oracle():
 
 def test_speed_zero_for_product_states(rng):
     h = core.transverse_coupled(4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        plus = core.StateVector.uniform_plus(5)
-        assert abs(entanglement.entangling_speed(plus, h, method="finite_diff")) < 1e-7
-        for _ in range(3):
-            sites = [
-                core.spin_state(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-                for _ in range(5)
-            ]
-            prod = core.StateVector.from_site_states(sites)
-            assert abs(entanglement.entangling_speed(prod, h, method="finite_diff")) < 1e-7
+    plus = core.StateVector.uniform_plus(5)
+    prods = [plus]
+    for _ in range(3):
+        sites = [
+            core.spin_state(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            for _ in range(5)
+        ]
+        prods.append(core.StateVector.from_site_states(sites))
+    for prod in prods:
+        assert abs(richardson_speed(prod, h)) < 1e-7
+        assert abs(entanglement.entangling_speed(prod, h)) < 1e-7
 
 
 def test_speed_zero_for_zero_hamiltonian(rng):
     h = core.PauliTermSum([], num_sites=3)
     psi = random_state(rng, 3)
-    assert entanglement.entangling_speed(psi, h, method="finite_diff") == pytest.approx(0.0, abs=1e-10)
+    assert richardson_speed(psi, h) == pytest.approx(0.0, abs=1e-10)
+    assert entanglement.entangling_speed(psi, h) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_speed_analytic_matches_finite_diff(rng):
     h = core.transverse_coupled(3)
     psi = core.evolve(core.StateVector.uniform_plus(4), h, 0.3)
-    a = entanglement.entangling_speed(psi, h, method="analytic")
-    f = entanglement.entangling_speed(psi, h, method="finite_diff")
+    a = entanglement.entangling_speed(psi, h)
+    f = richardson_speed(psi, h)
     assert a == pytest.approx(f, abs=1e-5)
     for _ in range(5):
         psi = random_state(rng, 4)
         if min(core.partial_trace_system(psi).eigenvalues()) < 1e-6:
             continue
-        a = entanglement.entangling_speed(psi, h, method="analytic")
-        f = entanglement.entangling_speed(psi, h, method="finite_diff")
+        a = entanglement.entangling_speed(psi, h)
+        f = richardson_speed(psi, h)
         assert a == pytest.approx(f, abs=1e-5)
 
 
@@ -113,17 +115,66 @@ def test_speed_matches_closed_form_for_uniform_coupling():
     lam = (1.0 - c**n) / 2.0
     lam_dot = n * g * c ** (n - 1) * s
     expected = lam_dot * math.log((1.0 - lam) / lam)
-    assert entanglement.entangling_speed(psi, h, method="analytic") == pytest.approx(
-        expected, abs=1e-9
-    )
+    assert entanglement.entangling_speed(psi, h) == pytest.approx(expected, abs=1e-9)
 
 
-def test_speed_analytic_falls_back_near_pure_states():
+def test_speed_near_pure_states_is_closed_form_without_warning():
+    # the closed form needs no fallback: 0 at the product state, and the
+    # oracle's value where the small eigenvalue is 1e-8 to 1e-4
     h = core.transverse_coupled(4)
     plus = core.StateVector.uniform_plus(5)
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        value = entanglement.entangling_speed(plus, h, method="analytic")
-    assert abs(value) < 1e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert entanglement.entangling_speed(plus, h) == 0.0
+        for t in (1e-4, 1e-3, 0.01):
+            psi = core.evolve(plus, h, t)
+            lam = min(core.partial_trace_system(psi).eigenvalues())
+            assert 1e-9 < lam < 1e-3
+            assert entanglement.entangling_speed(psi, h) == pytest.approx(
+                richardson_speed(psi, h, fd_step=t / 10), rel=1e-6
+            )
+
+
+def nearly_mixed(num_sites, alpha=0.7):
+    """(|0>|+...+> + e^{i alpha} |1>|-+...+>) / sqrt(2): a maximally mixed
+    qubit whose branches the Z0-Z1 coupling turns into each other."""
+    plus, minus = core.spin_state(math.pi / 2), core.spin_state(math.pi / 2, math.pi)
+    phi = core.StateVector.from_site_states([plus] * (num_sites - 1)).amplitudes
+    chi = core.StateVector.from_site_states([minus] + [plus] * (num_sites - 2)).amplitudes
+    return core.StateVector(np.concatenate([phi, np.exp(1j * alpha) * chi]), normalize=True)
+
+
+@pytest.mark.parametrize("num_sites", [5, 9, 10, 13])
+def test_closed_form_rates_match_richardson_stencils(num_sites):
+    # oracles: the speed's central difference at +-1e-4 and +-5e-5, and the
+    # symmetric second difference at 1e-3 and 5e-4, each with one Richardson
+    # halving; 5 and 9 sites run the dense path, 10 and 13 the Lanczos one
+    h = core.transverse_coupled(num_sites - 1)
+    env = [core.spin_state(math.pi / 2 - 0.04)] * (num_sites - 1)
+    product = core.StateVector.from_site_states([core.spin_state(math.pi / 2 + 0.03)] + env)
+    mixed = core.evolve(nearly_mixed(num_sites), h, 0.01)
+    lam = core.partial_trace_system(mixed).eigenvalues()
+    assert lam[1] - lam[0] < 0.05  # the series branch
+    for psi in (core.evolve(product, h, 0.02), core.evolve(product, h, 0.3), mixed):
+        speed = entanglement.entangling_speed(psi, h)
+        assert speed == pytest.approx(richardson_speed(psi, h), abs=1e-9)
+        assert entanglement.entangling_acceleration(psi, h) == pytest.approx(
+            richardson_acceleration(psi, h), rel=1e-7
+        )
+    # at the product state S'' is +inf: the one-sided stencil stands in
+    assert entanglement.entangling_speed(product, h) == pytest.approx(0.0, abs=1e-12)
+    assert richardson_speed(product, h) == pytest.approx(0.0, abs=1e-9)
+    assert entanglement.entangling_acceleration(product, h) == stencil_acceleration(product, h)
+
+
+def test_rates_at_an_exact_product_state():
+    # D = 0 exactly (the diagonal path keeps |+++> exact): the speed is 0
+    # and the closed-form acceleration +inf
+    psi = core.StateVector.uniform_plus(3)
+    h = core.degenerate_ising(2)
+    moments = core.Propagator(psi, h).moments([0.0])[0]
+    assert entanglement._entropy_rates(moments) == (0.0, math.inf)
+    assert entanglement.entangling_acceleration(psi, h) == stencil_acceleration(psi, h) > 0.0
 
 
 def test_speed_peak_grows_with_environment():
@@ -240,20 +291,21 @@ def test_first_speed_peak_finds_interior_maximum():
     assert (k, t, v) == (2, pytest.approx(0.2), pytest.approx(0.9))
 
 
-def test_trace_speed_is_the_public_finite_difference_speed():
-    # the sampling loop calls the non-warning Richardson helper directly
+def test_trace_rates_are_the_public_speed_and_acceleration():
+    # one propagator serves the window; the public functions take one
+    # moments([0]) query per state, so the two agree to roundoff
     h = core.transverse_coupled(3)
     init = core.StateVector.uniform_plus(4)
     trace = entanglement.compute_trace(init, h, t_max=0.1, dt=0.05)
     state = init
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for k in range(len(trace)):
-            if k > 0:
-                state = core.evolve(state, h, 0.05)
-            assert trace.epsilon_dot[k] == entanglement.entangling_speed(
-                state, h, method="finite_diff"
-            )
-    for bad in (0.0, -1e-4):
-        with pytest.raises(ValueError, match="fd_step"):
-            entanglement.compute_trace(init, h, t_max=0.1, dt=0.05, fd_step=bad)
+    for k in range(len(trace)):
+        if k > 0:
+            state = core.evolve(state, h, 0.05)
+        assert trace.epsilon_dot[k] == pytest.approx(
+            entanglement.entangling_speed(state, h), rel=1e-12, abs=1e-13
+        )
+        assert trace.epsilon_ddot[k] == pytest.approx(
+            entanglement.entangling_acceleration(state, h), rel=1e-10
+        )
+    with pytest.raises(TypeError, match="fd_step"):
+        entanglement.compute_trace(init, h, t_max=0.1, dt=0.05, fd_step=1e-4)

@@ -11,14 +11,14 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from propagation_oracles import (
-    apply_string_flip, apply_terms_flip, evolve_on_path, evolve_rk4,
+    apply_string_flip, apply_terms_flip, evolve_on_path, evolve_rk4, richardson_speed,
+    stencil_acceleration,
 )
 import qcollapse
 from qcollapse import cli, collapse, core, entanglement
@@ -290,20 +290,21 @@ def dense_entropy(psi, h, t):
 
 
 def test_stencils_match_dense_per_offset_route_at_ten_sites(rng):
-    # 1e-9 relative, or a few roundoffs of the entropy over the step where
-    # the derivative itself is tiny (a random state is nearly maximally mixed)
+    # the oracle stencils on the Lanczos path against the dense path: 1e-9
+    # relative, or a few roundoffs of the entropy over the step where the
+    # derivative itself is tiny (a random state is nearly maximally mixed)
     h = core.transverse_coupled(9)
-    fd, delta = entanglement.DEFAULT_FD_STEP, entanglement.DEFAULT_ACCEL_STEP
+    fd, delta = 1e-4, entanglement.DEFAULT_ACCEL_STEP
     eps = np.finfo(float).eps
     for psi in (random_state(rng, 10), core.evolve(tilted_product(10), h, 0.3)):
         d_full = (dense_entropy(psi, h, fd) - dense_entropy(psi, h, -fd)) / (2.0 * fd)
         d_half = (dense_entropy(psi, h, fd / 2) - dense_entropy(psi, h, -fd / 2)) / fd
         want = (4.0 * d_half - d_full) / 3.0
-        speed = entanglement.entangling_speed(psi, h, method="finite_diff")
+        speed = richardson_speed(psi, h, fd)
         assert speed == pytest.approx(want, rel=1e-9, abs=8 * eps / fd)
         e0 = entanglement.state_entropy(psi)
         want = (dense_entropy(psi, h, delta) - 2.0 * e0 + dense_entropy(psi, h, -delta)) / delta**2
-        accel = entanglement.entangling_acceleration(psi, h)
+        accel = stencil_acceleration(psi, h, delta)
         assert accel == pytest.approx(want, rel=1e-9, abs=8 * eps / delta**2)
 
 
@@ -315,13 +316,10 @@ def test_trace_speed_matches_analytic_speed_along_ten_site_run():
     trace = entanglement.compute_trace(state, h, t_max=1.0, dt=dt)
     assert len(trace) == 51
     worst = 0.0
-    with warnings.catch_warnings():
-        # at the product state the analytic formula falls back, with a warning
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for k in range(len(trace)):
-            analytic = entanglement.entangling_speed(state, h, method="analytic")
-            worst = max(worst, abs(trace.epsilon_dot[k] - analytic))
-            state = core.evolve(state, h, dt)
+    for k in range(len(trace)):
+        analytic = entanglement.entangling_speed(state, h)
+        worst = max(worst, abs(trace.epsilon_dot[k] - analytic))
+        state = core.evolve(state, h, dt)
     assert worst <= 1e-10
 
 
@@ -330,17 +328,27 @@ def test_trace_bytes_do_not_depend_on_blas_threads(tmp_path):
     # projections and the norm guards across threads and the digits move
     src = str(Path(qcollapse.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = (
+        ["trace", "--set", "n_list=9,12", "--set", "t_max=0.1"],
+        # collapse events: the closed-form speed decides each crossing
+        ["trajectory", "--set", "n=9", "--set", "threshold=0.5",
+         "--set", "basis_method=collapse_operator", "--set", "t_max=0.2"],
+    )
     payloads = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "qcollapse.cli", "trace", "--set", "n_list=9,12",
-             "--set", "t_max=0.1", "--out", str(out)],
-            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath),
-            check=True, stdout=subprocess.DEVNULL, timeout=120,
-        )
+        for args in commands:
+            subprocess.run(
+                [sys.executable, "-m", "qcollapse.cli", *args, "--out", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath),
+                check=True, stdout=subprocess.DEVNULL, timeout=120,
+            )
         payloads.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert sorted(payloads[0]) == ["trace_n12.csv", "trace_n9.csv", "trace_summary.csv"]
+    assert sorted(payloads[0]) == [
+        "trace_n12.csv", "trace_n9.csv", "trace_summary.csv",
+        "trajectory_events.jsonl", "trajectory_trace.csv",
+    ]
+    assert payloads[0]["trajectory_events.jsonl"]
     assert payloads[0] == payloads[1]
 
 
