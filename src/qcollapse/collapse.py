@@ -170,12 +170,16 @@ def mean_entangling_acceleration(
     ``delta`` must be at least ``entanglement.MIN_ACCEL_STEP``.
     """
     entanglement._check_accel_step(delta)
-    b = decomp.basis
-    return float(
-        _mean_accel_grid(
-            decomp.reconstruct(), h, np.array([b.theta]), np.array([b.phi]), delta
-        )[0]
-    )
+    coeffs = _scan_coefficients(_scan_tensors(decomp.reconstruct(), h, delta))
+    return _scan_point(coeffs, decomp.basis.theta, decomp.basis.phi, delta)
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``out[i, j] = <x[i], y[j]>``, each a sum along a contiguous row, as in
+    :func:`entanglement.block_entropies`, so its bits do not depend on the
+    BLAS thread count."""
+    xc = x.conj()
+    return np.stack([(row * xc).sum(axis=-1) for row in y], axis=1)
 
 
 def _scan_tensors(amps: np.ndarray, h: core.PauliTermSum, delta: float) -> tuple:
@@ -207,9 +211,85 @@ def _scan_tensors(amps: np.ndarray, h: core.PauliTermSum, delta: float) -> tuple
         inc = np.zeros_like(vecs)
         inc[:, live] = (prop.propagate([step])[..., 0] - unit) * norms[live]
         x = inc.T.reshape(8, -1)
-        grams.append(x.conj() @ x.T)
-        crosses.append(x.conj() @ mat.T)
-    return mat @ mat.conj().T, np.stack(grams), np.stack(crosses)
+        grams.append(_inner(x, x))
+        crosses.append(_inner(x, mat))
+    return _inner(mat, mat).T, np.stack(grams), np.stack(crosses)
+
+
+# a candidate row is a_p = r_p e^{i p phi}, each r_p given by its sine
+# exponent and its sign: A0 has r = (cos, sin) of theta/2, A1 has
+# r = (sin, -cos), and each is the other's partner
+_ROWS = (((0, 1), (1.0, 1.0)), ((1, 0), (1.0, -1.0)))
+
+
+def _fold_form(x: tuple, y: tuple, mat: np.ndarray, degree: int) -> np.ndarray:
+    """Coefficients of ``sum_ij conj(x_i) mat[i, j] y_j`` for two vectors
+    whose entries are ``sign cos^(d-e) sin^e e^{i m phi}``, each vector given
+    as ``(e, sign, m)`` arrays: one row of :func:`_scan_coefficients`,
+    monomial-major, summed term by term in a fixed order."""
+    (ex, sx, mx), (ey, sy, my) = x, y
+    monomial = degree * degree // 4 - 1 + ex[:, None] + ey[None, :]
+    index = (7 * monomial + 3 + my[None, :] - mx[:, None]).ravel()
+    weight = (sx[:, None] * sy[None, :] * mat).ravel()
+    return np.bincount(index, weight.real, 105) + 1j * np.bincount(index, weight.imag, 105)
+
+
+def _scan_coefficients(tensors: tuple) -> np.ndarray:
+    """Fold the scan tensors into one trigonometric polynomial per number
+    the landscape reads.
+
+    A candidate row is ``a_p = r_p e^{i p phi}`` with ``r`` one of
+    ``(cos, sin)`` and ``(sin, -cos)`` of theta/2, and its partner ``b`` has
+    the other.  With ``j = (p, q, s)`` the branch of row ``a`` has the
+    vectors ``beta_j = a_p conj(a_q) conj(b_s)``, ``alpha_j = a_p conj(a_q)
+    conj(a_s)`` and ``env_q = conj(a_q)``, each a monomial of degree 3 or 1
+    in (cos, sin) times ``e^{i m phi}``, and then
+    ``c^2 = a^H rho a`` (degree 2), ``c^2 |r1|^2 = beta^H G beta`` (degree 6)
+    and ``c^2 <r1, r0> = beta^H (G alpha + C env)`` (degrees 6 and 4), with
+    ``|m| <= 3``: the ``1/c`` of each branch vector is taken out and applied
+    as ``1/c^2`` after the contraction.  Returns the coefficients as a
+    complex (2, 5, 15, 7) array: branch, number (``c^2``, then the two
+    Gram forms at delta and 2 delta, then the two overlaps),
+    monomial (:func:`_monomials`) and harmonic ``m + 3``.  No coefficient
+    goes through BLAS, so its bits do not depend on the thread count.
+    """
+    rho, grams, crosses = tensors
+    j = np.arange(8)
+    p, q, s = j >> 2, (j >> 1) & 1, j & 1
+    two = np.arange(2)
+    out = []
+    for branch in range(2):
+        (ea, sa), (eb, sb) = (map(np.array, _ROWS[k]) for k in (branch, 1 - branch))
+        a = (ea, sa, two)
+        env = (ea, sa, -two)
+        alpha = (ea[p] + ea[q] + ea[s], sa[p] * sa[q] * sa[s], p - q - s)
+        beta = (ea[p] + ea[q] + eb[s], sa[p] * sa[q] * sb[s], p - q - s)
+        out.append(
+            [_fold_form(a, a, rho, 2)]
+            + [_fold_form(beta, beta, g, 6) for g in grams]
+            + [_fold_form(beta, alpha, g, 6) + _fold_form(beta, env, c, 4)
+               for g, c in zip(grams, crosses)]
+        )
+    return np.array(out).reshape(2, 5, 15, 7)
+
+
+def _monomials(c, s) -> np.ndarray:
+    """``c^(d-e) s^e`` for d = 2, 4, 6 and e = 0..d, along a new last axis
+    of length 15; ``c`` and ``s`` are cos and sin of theta/2, as floats or
+    arrays."""
+    cp, sp = [1.0, c], [1.0, s]
+    for _ in range(5):
+        cp.append(cp[-1] * c)
+        sp.append(sp[-1] * s)
+    return np.array([cp[d - e] * sp[e] for d in (2, 4, 6) for e in range(d + 1)]).T
+
+
+def _harmonics(z) -> np.ndarray:
+    """``z^m`` for m = -3..3, along a new first axis of length 7; ``z`` is
+    ``e^{i phi}``, as a complex or an array."""
+    zp = [z**0, z, z * z]
+    zp.append(zp[2] * z)
+    return np.array([p.conjugate() for p in zp[:0:-1]] + zp)
 
 
 def _branch_entropy(lam: np.ndarray) -> np.ndarray:
@@ -219,52 +299,54 @@ def _branch_entropy(lam: np.ndarray) -> np.ndarray:
     return np.maximum(s - (1.0 - lam) * np.log1p(-lam), 0.0)
 
 
-def _mean_accel_grid(
-    amps: np.ndarray,
-    h: core.PauliTermSum,
-    thetas: np.ndarray,
-    phis: np.ndarray,
-    delta: float,
-    tensors: tuple | None = None,
+def _scan_grid(
+    coeffs: np.ndarray, thetas: np.ndarray, phis: np.ndarray, delta: float
 ) -> np.ndarray:
-    """Mean branch acceleration for a batch of (theta, phi) candidates.
+    """Mean branch acceleration on every cell of the grid ``thetas x phis``.
 
-    Each branch ``a (x) env`` starts as a product state, so its acceleration
-    is the one-sided stencil ``(S(2 delta) - 2 S(delta)) / delta**2``.  The
-    evolved branch is read in the frame of the pair ``(a, b)``:
-    ``r1 = b^H Psi`` is ``b^H Y`` with ``Y = sum_pq w_pq X_pq``, and the small
-    eigenvalue of the reduced state follows from the determinant
+    The five numbers of each branch (:func:`_scan_coefficients`) are
+    ``V(theta) K W(phi)`` with ``K = coeffs``, :func:`_monomials` as ``V``
+    and :func:`_harmonics` as ``W``: two products with inner lengths 15 and
+    7, whatever the grid size; the rest is elementwise.  Each branch
+    ``a (x) env`` starts as a product state, so its acceleration is the
+    one-sided stencil ``(S(2 delta) - 2 S(delta)) / delta**2``.  The evolved
+    branch is read in the frame of the pair ``(a, b)``, and the small
+    eigenvalue of its reduced state follows from the determinant
     ``(1 - |r1|^2) |r1|^2 - |<r1, r0>|^2``, which has no ``tr - disc``
-    cancellation.  Every product comes from :func:`_scan_tensors` (pass
-    ``tensors`` to reuse them), so no branch is evolved per candidate.
-    Branches below ``ZERO_WEIGHT_TOL`` contribute nothing.
+    cancellation.  Branches below ``ZERO_WEIGHT_TOL`` contribute nothing.
     """
-    rho, gram, cross = _scan_tensors(amps, h, delta) if tensors is None else tensors
     half = thetas / 2.0
-    ph = np.exp(1j * phis)
-    a0 = np.stack([np.cos(half), ph * np.sin(half)], axis=1)
-    a1 = np.stack([np.sin(half), -ph * np.cos(half)], axis=1)
-    # both branches of every candidate at once: rows of a, partners in b
-    a = np.concatenate([a0, a1])
-    b = np.concatenate([a1, a0])
-    c2 = np.einsum("np,pq,nq->n", a.conj(), rho, a).real
-    c = np.sqrt(np.maximum(c2, 0.0))
-    live = c >= ZERO_WEIGHT_TOL
-    inv_c = 1.0 / np.where(live, c, 1.0)
-    w = a[:, :, None] * a.conj()[:, None, :] * inv_c[:, None, None]
-    alpha = (w[..., None] * a.conj()[:, None, None, :]).reshape(-1, 8)
-    beta = (w[..., None] * b.conj()[:, None, None, :]).reshape(-1, 8)
-    env = a.conj() * inv_c[:, None]  # coefficients of M_q in the branch
-    # one row per offset (delta, 2 delta)
-    gram_t = gram.transpose(0, 2, 1)
-    r1_sq = np.einsum("nj,knj->kn", beta.conj(), beta @ gram_t).real
-    overlap = np.einsum(
-        "nj,knj->kn", beta.conj(), alpha @ gram_t + env @ cross.transpose(0, 2, 1)
-    )
-    det = np.clip((1.0 - r1_sq) * r1_sq - np.abs(overlap) ** 2, 0.0, 0.25)
+    vals = (_monomials(np.cos(half), np.sin(half)) @ coeffs) @ _harmonics(np.exp(1j * phis))
+    c2 = vals[:, 0].real
+    live = c2 >= ZERO_WEIGHT_TOL**2
+    weight = np.where(live, c2, 1.0)[:, None]
+    r1_sq = vals[:, 1:3].real / weight
+    det = np.clip((1.0 - r1_sq) * r1_sq - np.abs(vals[:, 3:] / weight) ** 2, 0.0, 0.25)
     s = _branch_entropy(2.0 * det / (1.0 + np.sqrt(1.0 - 4.0 * det)))
-    acc = np.where(live, c2 * (s[1] - 2.0 * s[0]) / delta**2, 0.0)
-    return acc[: thetas.size] + acc[thetas.size :]
+    acc = np.where(live, c2 * (s[:, 1] - 2.0 * s[:, 0]) / delta**2, 0.0)
+    return acc[0] + acc[1]
+
+
+def _scan_point(coeffs: np.ndarray, theta: float, phi: float, delta: float) -> float:
+    """:func:`_scan_grid` at one candidate: the same two products, and the
+    same tail on four pairs of scalars."""
+    half = theta / 2.0
+    v = _monomials(math.cos(half), math.sin(half))
+    vals = (v @ coeffs) @ _harmonics(complex(math.cos(phi), math.sin(phi)))
+    total = 0.0
+    for c2, *numbers in vals.tolist():
+        c2 = c2.real
+        if not c2 >= ZERO_WEIGHT_TOL**2:
+            continue
+        s = []
+        for r1_sq, overlap in zip(numbers[:2], numbers[2:]):
+            r1_sq = r1_sq.real / c2
+            det = min(max((1.0 - r1_sq) * r1_sq - abs(overlap / c2) ** 2, 0.0), 0.25)
+            lam = 2.0 * det / (1.0 + math.sqrt(1.0 - 4.0 * det))
+            small = -lam * math.log(lam) if lam > entanglement.EIG_CUTOFF else 0.0
+            s.append(max(small - (1.0 - lam) * math.log1p(-lam), 0.0))
+        total += c2 * (s[1] - 2.0 * s[0]) / delta**2
+    return total
 
 
 @dataclass(frozen=True)
@@ -299,8 +381,10 @@ def scan_collapse_basis(
     """Minimize the mean branch acceleration over the Bloch sphere.
 
     The state's branch tensors (:func:`_scan_tensors`, eight evolved
-    columns) are computed once; every grid cell and every Nelder-Mead
-    evaluation is then O(1).  A coarse grid locates the basin.  Grid ties
+    columns) are computed once and folded into one coefficient array
+    (:func:`_scan_coefficients`); the grid and every Nelder-Mead evaluation
+    read the landscape from it, so neither evolves anything.  A coarse grid
+    locates the basin.  Grid ties
     within ``TIE_TOL`` break toward the smallest theta, then the smallest
     phi, so repeated scans are reproducible.  Nelder-Mead then polishes the
     minimum in the tangent plane ``n0 + x e1 + y e2`` at the best cell's
@@ -311,13 +395,10 @@ def scan_collapse_basis(
     """
     settings = settings or ScanSettings()
     delta = settings.accel_delta
-    tensors = _scan_tensors(psi.amplitudes, h, delta)
+    coeffs = _scan_coefficients(_scan_tensors(psi.amplitudes, h, delta))
     thetas = np.linspace(0.0, math.pi, settings.n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, settings.n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    values = _mean_accel_grid(
-        psi.amplitudes, h, tt.ravel(), pp.ravel(), delta, tensors
-    ).reshape(settings.n_theta, settings.n_phi)
+    values = _scan_grid(coeffs, thetas, phis, delta)
 
     vmin = float(values.min())
     vmax = float(values.max())
@@ -340,12 +421,7 @@ def scan_collapse_basis(
 
         def objective(x):
             b = chart(x)
-            return float(
-                _mean_accel_grid(
-                    psi.amplitudes, h, np.array([b.theta]), np.array([b.phi]),
-                    delta, tensors,
-                )[0]
-            )
+            return _scan_point(coeffs, b.theta, b.phi, delta)
 
         # scipy is imported where it is called, so that commands which never
         # refine a scan (`trace` among them) start without loading it

@@ -136,10 +136,11 @@ def test_mean_acceleration_matches_grid_evaluator(rng):
     basis = random_basis(rng)
     d = collapse.decompose(psi, basis)
     direct = collapse.mean_entangling_acceleration(d, h)
-    batched = collapse._mean_accel_grid(
-        psi.amplitudes, h, np.array([basis.theta]), np.array([basis.phi]),
-        entanglement.DEFAULT_ACCEL_STEP,
-    )[0]
+    delta = entanglement.DEFAULT_ACCEL_STEP
+    coeffs = collapse._scan_coefficients(collapse._scan_tensors(psi.amplitudes, h, delta))
+    batched = collapse._scan_grid(
+        coeffs, np.array([basis.theta]), np.array([basis.phi]), delta
+    )[0, 0]
     assert direct == pytest.approx(batched, rel=1e-10, abs=1e-12)
 
 

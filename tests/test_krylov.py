@@ -325,7 +325,10 @@ def test_trace_speed_matches_analytic_speed_along_ten_site_run():
 
 def test_trace_bytes_do_not_depend_on_blas_threads(tmp_path):
     # holds at 10 and 13 sites; at 16 sites OpenBLAS splits the Lanczos
-    # projections and the norm guards across threads and the digits move
+    # projections and the norm guards across threads and the digits move.
+    # Nothing here runs at 9 sites or fewer: there `np.linalg.eigh` returns
+    # eigenvectors that differ between thread counts inside degenerate
+    # eigenspaces, so 8- and 9-site payloads move too
     src = str(Path(qcollapse.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     commands = (
@@ -333,22 +336,29 @@ def test_trace_bytes_do_not_depend_on_blas_threads(tmp_path):
         # collapse events: the closed-form speed decides each crossing
         ["trajectory", "--set", "n=9", "--set", "threshold=0.5",
          "--set", "basis_method=collapse_operator", "--set", "t_max=0.2"],
+        # a basis scan: its tensors and coefficients are fixed-order sums
+        ["trajectory", "--set", "n=9", "--set", "basis_method=scan",
+         "--set", "threshold=0.5", "--set", "t_max=0.1"],
     )
     payloads = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        for args in commands:
+        for k, args in enumerate(commands):
             subprocess.run(
-                [sys.executable, "-m", "qcollapse.cli", *args, "--out", str(out)],
+                [sys.executable, "-m", "qcollapse.cli", *args, "--out", str(out / str(k))],
                 env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath),
                 check=True, stdout=subprocess.DEVNULL, timeout=120,
             )
-        payloads.append({p.name: p.read_bytes() for p in out.iterdir()})
+        payloads.append({
+            f"{p.parent.name}/{p.name}": p.read_bytes() for p in sorted(out.glob("*/*"))
+        })
     assert sorted(payloads[0]) == [
-        "trace_n12.csv", "trace_n9.csv", "trace_summary.csv",
-        "trajectory_events.jsonl", "trajectory_trace.csv",
+        "0/trace_n12.csv", "0/trace_n9.csv", "0/trace_summary.csv",
+        "1/trajectory_events.jsonl", "1/trajectory_trace.csv",
+        "2/trajectory_events.jsonl", "2/trajectory_trace.csv",
     ]
-    assert payloads[0]["trajectory_events.jsonl"]
+    assert payloads[0]["1/trajectory_events.jsonl"]
+    assert payloads[0]["2/trajectory_events.jsonl"]
     assert payloads[0] == payloads[1]
 
 

@@ -52,7 +52,7 @@ def assert_traces_close(got, want):
     ],
     ids=["dense-4", "diagonal-4", "krylov-10", "krylov-13"],
 )
-def test_trace_equals_per_call_route_bit_for_bit(h, t_max):
+def test_trace_matches_per_call_route(h, t_max):
     # within the stencils' errors (assert_traces_close), not bit for bit
     initial = near_pole_product(h.num_sites)
     trace = entanglement.compute_trace(initial, h, t_max=t_max, dt=0.02)
@@ -61,7 +61,7 @@ def test_trace_equals_per_call_route_bit_for_bit(h, t_max):
     assert_traces_close(trace, want)
 
 
-def test_trajectory_equals_per_call_route_bit_for_bit(monkeypatch):
+def test_trajectory_matches_per_call_route(monkeypatch):
     # within the stencils' errors, not bit for bit: every crossing replaces
     # the state, so the next step comes from a fresh propagator at the
     # collapsed branch; the events agree in time, outcome and draw, and in

@@ -1,15 +1,19 @@
-"""The bilinear basis-scan evaluator against independent routes.
+"""The polynomial basis-scan evaluator against independent routes.
 
-``collapse._mean_accel_grid`` scores every candidate basis from one set of
-per-scan tensors: four vectors evolved by delta and by 2 delta.  It is held
-here to two routes that evolve every branch on its own:
+``collapse._scan_coefficients`` folds one set of per-scan tensors (four
+vectors evolved by delta and by 2 delta) into one coefficient array, and
+``collapse._scan_grid`` (the grid) and ``collapse._scan_point`` (Nelder-Mead
+and ``mean_entangling_acceleration``) read every candidate basis from it.
+They are held here to three routes:
 
-* the product-branch evaluator it replaced, copied in as ``oracle_grid``:
-  each branch ``a (x) env`` is evolved by delta twice and its entropies come
-  from ``entanglement.block_entropies`` (the ``tr - disc`` eigenvalue);
+* the product-branch evaluator, copied in as ``oracle_grid``: each branch
+  ``a (x) env`` is evolved by delta twice and its entropies come from
+  ``entanglement.block_entropies`` (the ``tr - disc`` eigenvalue);
 * an explicit rotated-frame route, ``explicit_mean_accel``: each branch is
   evolved by ``core.evolve`` to delta and to 2 delta, read in the pair
-  (a, b), and its small eigenvalue taken from the Gram determinant.
+  (a, b), and its small eigenvalue taken from the Gram determinant;
+* the batched-einsum evaluator the polynomial replaced, ``einsum_grid``:
+  the same tensors contracted with the branch vectors of every candidate.
 """
 
 import math
@@ -76,6 +80,53 @@ def explicit_mean_accel(amps, h, theta, phi, delta):
     return total
 
 
+def einsum_grid(amps, h, thetas, phis, delta, tensors=None):
+    rho, gram, cross = collapse._scan_tensors(amps, h, delta) if tensors is None else tensors
+    half = thetas / 2.0
+    ph = np.exp(1j * phis)
+    a0 = np.stack([np.cos(half), ph * np.sin(half)], axis=1)
+    a1 = np.stack([np.sin(half), -ph * np.cos(half)], axis=1)
+    # both branches of every candidate at once: rows of a, partners in b
+    a = np.concatenate([a0, a1])
+    b = np.concatenate([a1, a0])
+    c2 = np.einsum("np,pq,nq->n", a.conj(), rho, a).real
+    c = np.sqrt(np.maximum(c2, 0.0))
+    live = c >= collapse.ZERO_WEIGHT_TOL
+    inv_c = 1.0 / np.where(live, c, 1.0)
+    w = a[:, :, None] * a.conj()[:, None, :] * inv_c[:, None, None]
+    alpha = (w[..., None] * a.conj()[:, None, None, :]).reshape(-1, 8)
+    beta = (w[..., None] * b.conj()[:, None, None, :]).reshape(-1, 8)
+    env = a.conj() * inv_c[:, None]  # coefficients of M_q in the branch
+    # one row per offset (delta, 2 delta)
+    gram_t = gram.transpose(0, 2, 1)
+    r1_sq = np.einsum("nj,knj->kn", beta.conj(), beta @ gram_t).real
+    overlap = np.einsum(
+        "nj,knj->kn", beta.conj(), alpha @ gram_t + env @ cross.transpose(0, 2, 1)
+    )
+    det = np.clip((1.0 - r1_sq) * r1_sq - np.abs(overlap) ** 2, 0.0, 0.25)
+    lam = 2.0 * det / (1.0 + np.sqrt(1.0 - 4.0 * det))
+    above = lam > entanglement.EIG_CUTOFF
+    s = -np.where(above, lam * np.log(np.where(above, lam, 1.0)), 0.0)
+    s = np.maximum(s - (1.0 - lam) * np.log1p(-lam), 0.0)
+    acc = np.where(live, c2 * (s[1] - 2.0 * s[0]) / delta**2, 0.0)
+    return acc[: thetas.size] + acc[thetas.size :]
+
+
+def poly_grid(amps, h, thetas, phis, delta=DELTA):
+    """The scan's grid evaluator on the grid thetas x phis."""
+    coeffs = collapse._scan_coefficients(collapse._scan_tensors(amps, h, delta))
+    return collapse._scan_grid(coeffs, thetas, phis, delta)
+
+
+def poly_points(amps, h, thetas, phis, delta=DELTA):
+    """Both evaluators at the pairs (thetas[k], phis[k]): the grid's
+    diagonal and the single-point evaluation Nelder-Mead calls."""
+    coeffs = collapse._scan_coefficients(collapse._scan_tensors(amps, h, delta))
+    grid = np.diagonal(collapse._scan_grid(coeffs, thetas, phis, delta))
+    point = [collapse._scan_point(coeffs, t, p, delta) for t, p in zip(thetas, phis)]
+    return grid, np.array(point)
+
+
 def tilted_initial(n, theta_env):
     sites = [core.spin_state(math.pi / 2)] + [core.spin_state(theta_env)] * n
     return core.StateVector.from_site_states(sites)
@@ -86,9 +137,14 @@ def random_state(rng, num_sites):
     return core.StateVector(v / np.linalg.norm(v))
 
 
-def full_grid(n_theta=64, n_phi=64):
+def grid_axes(n_theta=64, n_phi=64):
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    return thetas, phis
+
+
+def cells(thetas, phis):
+    """Every cell of the grid thetas x phis, theta-major, as paired angles."""
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     return tt.ravel(), pp.ravel()
 
@@ -100,20 +156,34 @@ def full_grid(n_theta=64, n_phi=64):
 ORACLE_ATOL = 8.0 * EPS * abs(math.log(EPS)) / DELTA**2
 
 
+# the einsum route contracts the same tensors in another order, and the
+# single-point evaluation shares the grid's products but not its tail: the
+# largest differences measured on these states are 1.5e-14 and 1.2e-14 of
+# the largest value (1.9e-12 on values up to 120, on the tilted 9-site state)
+EINSUM_RTOL = 1e-12
+
+
 @pytest.mark.parametrize("sites", [5, 7, 9])
 def test_grid_matches_product_branch_oracle(sites, rng):
     h = core.transverse_coupled(sites - 1)
-    thetas, phis = full_grid()
+    thetas, phis = grid_axes()
     states = [
         core.evolve(tilted_initial(sites - 1, math.pi / 4), h, 0.3),
         random_state(rng, sites),
     ]
     for psi in states:
-        new = collapse._mean_accel_grid(psi.amplitudes, h, thetas, phis, DELTA)
-        old = oracle_grid(psi.amplitudes, h, thetas, phis, DELTA)
-        assert np.max(np.abs(new - old)) <= ORACLE_ATOL
+        coeffs = collapse._scan_coefficients(collapse._scan_tensors(psi.amplitudes, h, DELTA))
+        new = collapse._scan_grid(coeffs, thetas, phis, DELTA)
+        old = oracle_grid(psi.amplitudes, h, *cells(thetas, phis), DELTA)
+        assert np.max(np.abs(new.ravel() - old)) <= ORACLE_ATOL
         # the landscape is not trivially flat, so the bound means something
         assert np.ptp(old) > 1.0
+        scale = np.max(np.abs(new))
+        moved = einsum_grid(psi.amplitudes, h, *cells(thetas, phis), DELTA)
+        assert np.max(np.abs(new.ravel() - moved)) <= EINSUM_RTOL * scale
+        # Nelder-Mead's single-point evaluation at every cell of the grid
+        point = [[collapse._scan_point(coeffs, t, p, DELTA) for p in phis] for t in thetas]
+        assert np.max(np.abs(np.array(point) - new)) <= EINSUM_RTOL * scale
 
 
 @pytest.mark.parametrize("sites", [3, 5, 8])
@@ -122,10 +192,10 @@ def test_grid_matches_explicit_rotated_frame_route(sites, rng):
     psi = core.evolve(tilted_initial(sites - 1, 0.7), h, 0.45)
     thetas = np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, 10)])
     phis = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 2.0 * math.pi, 10)])
-    got = collapse._mean_accel_grid(psi.amplitudes, h, thetas, phis, DELTA)
-    for t, p, v in zip(thetas, phis, got):
-        want = explicit_mean_accel(psi.amplitudes, h, t, p, DELTA)
-        assert abs(v - want) <= 1e-10 * max(1.0, abs(want))
+    for got in poly_points(psi.amplitudes, h, thetas, phis):
+        for t, p, v in zip(thetas, phis, got):
+            want = explicit_mean_accel(psi.amplitudes, h, t, p, DELTA)
+            assert abs(v - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_rk4_path_above_dense_limit_matches_explicit_route():
@@ -140,10 +210,10 @@ def test_rk4_path_above_dense_limit_matches_explicit_route():
     ):
         thetas = np.array([0.0, 0.9, math.pi / 2, 2.4])
         phis = np.array([0.0, 0.3, 4.0, 5.5])
-        got = collapse._mean_accel_grid(psi.amplitudes, h, thetas, phis, DELTA)
-        for t, p, v in zip(thetas, phis, got):
-            want = explicit_mean_accel(psi.amplitudes, h, t, p, DELTA)
-            assert abs(v - want) <= 1e-10 * max(1.0, abs(want))
+        for got in poly_points(psi.amplitudes, h, thetas, phis):
+            for t, p, v in zip(thetas, phis, got):
+                want = explicit_mean_accel(psi.amplitudes, h, t, p, DELTA)
+                assert abs(v - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_zero_weight_branches_contribute_nothing():
@@ -151,10 +221,11 @@ def test_zero_weight_branches_contribute_nothing():
     # near the poles one branch is tiny
     h = core.transverse_coupled(4)
     psi = core.StateVector.from_site_states([core.spin_state(0.0)] + [core.spin_state(0.8)] * 4)
-    thetas, phis = full_grid(16, 8)
-    new = collapse._mean_accel_grid(psi.amplitudes, h, thetas, phis, DELTA)
+    thetas, phis = grid_axes(16, 8)
+    new = poly_grid(psi.amplitudes, h, thetas, phis).ravel()
     assert np.all(np.isfinite(new))
-    assert np.max(np.abs(new - oracle_grid(psi.amplitudes, h, thetas, phis, DELTA))) <= ORACLE_ATOL
+    old = oracle_grid(psi.amplitudes, h, *cells(thetas, phis), DELTA)
+    assert np.max(np.abs(new - old)) <= ORACLE_ATOL
     d = collapse.decompose(psi, collapse.CandidateBasis(0.0, 0.0))
     assert d.zero_weight == (False, True)
     got = collapse.mean_entangling_acceleration(d, h)
@@ -171,13 +242,25 @@ def test_zero_hamiltonian_scan_is_exactly_flat(rng):
 
 
 def test_precomputed_tensors_give_the_same_values(rng):
+    # the scan reads its grid and its refined minimum from one coefficient
+    # array, which precomputed tensors reproduce
     h = core.transverse_coupled(4)
     psi = random_state(rng, 5)
-    thetas, phis = full_grid(8, 8)
     tensors = collapse._scan_tensors(psi.amplitudes, h, DELTA)
+    coeffs = collapse._scan_coefficients(tensors)
+    basis, report = collapse.scan_collapse_basis(psi, h, collapse.ScanSettings(8, 8))
     np.testing.assert_array_equal(
-        collapse._mean_accel_grid(psi.amplitudes, h, thetas, phis, DELTA, tensors),
-        collapse._mean_accel_grid(psi.amplitudes, h, thetas, phis, DELTA),
+        collapse._scan_grid(coeffs, report.theta_values, report.phi_values, DELTA),
+        report.mean_accelerations,
+    )
+    assert report.nm_evaluations > 0
+    assert collapse._scan_point(coeffs, basis.theta, basis.phi, DELTA) == pytest.approx(
+        report.minimum[2], rel=1e-12
+    )
+    thetas, phis = cells(*grid_axes(8, 8))
+    np.testing.assert_array_equal(
+        einsum_grid(psi.amplitudes, h, thetas, phis, DELTA, tensors),
+        einsum_grid(psi.amplitudes, h, thetas, phis, DELTA),
     )
 
 
