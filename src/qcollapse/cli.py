@@ -241,12 +241,8 @@ def cmd_trace(cfg: RunConfig, out_dir: Path) -> list[Path]:
     scale = entanglement._unit_scale(cfg.entropy_units)
     for n, trace in results:
         path = out_dir / f"trace_n{n}"
-        if cfg.format == "csv":
-            trace.to_csv(path.with_suffix(".csv"), comment=f"config_hash={hash_}",
-                         units=cfg.entropy_units)
-        else:
-            rows = [list(r) for r in trace.rows(cfg.entropy_units)]
-            _write_table(path, entanglement.TRACE_COLUMNS, rows, "json", hash_)
+        _write_table(path, entanglement.TRACE_COLUMNS, trace.rows(cfg.entropy_units),
+                     cfg.format, hash_)
         written.append(path.with_suffix("." + cfg.format))
     if len(cfg.n_list) > 1:
         rows = []
@@ -311,9 +307,10 @@ def cmd_trajectory(cfg: RunConfig, out_dir: Path) -> list[Path]:
     )
     events_path = out_dir / "trajectory_events.jsonl"
     events_path.write_text(collapse.events_to_jsonl(events, cfg.seed))
-    trace_path = out_dir / "trajectory_trace.csv"
-    trace.to_csv(trace_path, comment=f"config_hash={hash_}", units=cfg.entropy_units)
-    return [events_path, trace_path]
+    trace_path = out_dir / "trajectory_trace"  # CSV whatever the format
+    _write_table(trace_path, entanglement.TRACE_COLUMNS, trace.rows(cfg.entropy_units),
+                 "csv", hash_)
+    return [events_path, trace_path.with_suffix(".csv")]
 
 
 def cmd_bullet(cfg: RunConfig, out_dir: Path) -> list[Path]:

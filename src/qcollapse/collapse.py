@@ -174,14 +174,6 @@ def mean_entangling_acceleration(
     return _scan_point(coeffs, decomp.basis.theta, decomp.basis.phi, delta)
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``out[i, j] = <x[i], y[j]>``, each a sum along a contiguous row, as in
-    :func:`entanglement.block_entropies`, so its bits do not depend on the
-    BLAS thread count."""
-    xc = x.conj()
-    return np.stack([(row * xc).sum(axis=-1) for row in y], axis=1)
-
-
 def _scan_tensors(amps: np.ndarray, h: core.PauliTermSum, delta: float) -> tuple:
     """Inner products that score any candidate basis of ``amps`` in O(1).
 
@@ -211,9 +203,9 @@ def _scan_tensors(amps: np.ndarray, h: core.PauliTermSum, delta: float) -> tuple
         inc = np.zeros_like(vecs)
         inc[:, live] = (prop.propagate([step])[..., 0] - unit) * norms[live]
         x = inc.T.reshape(8, -1)
-        grams.append(_inner(x, x))
-        crosses.append(_inner(x, mat))
-    return _inner(mat, mat).T, np.stack(grams), np.stack(crosses)
+        grams.append(entanglement._inner(x, x))
+        crosses.append(entanglement._inner(x, mat))
+    return entanglement._inner(mat, mat).T, np.stack(grams), np.stack(crosses)
 
 
 # a candidate row is a_p = r_p e^{i p phi}, each r_p given by its sine
@@ -292,13 +284,6 @@ def _harmonics(z) -> np.ndarray:
     return np.array([p.conjugate() for p in zp[:0:-1]] + zp)
 
 
-def _branch_entropy(lam: np.ndarray) -> np.ndarray:
-    """Entropy of a qubit state with eigenvalues ``lam`` and ``1 - lam``."""
-    small = np.where(lam > entanglement.EIG_CUTOFF, lam, 1.0)
-    s = -np.where(lam > entanglement.EIG_CUTOFF, lam * np.log(small), 0.0)
-    return np.maximum(s - (1.0 - lam) * np.log1p(-lam), 0.0)
-
-
 def _scan_grid(
     coeffs: np.ndarray, thetas: np.ndarray, phis: np.ndarray, delta: float
 ) -> np.ndarray:
@@ -310,10 +295,10 @@ def _scan_grid(
     7, whatever the grid size; the rest is elementwise.  Each branch
     ``a (x) env`` starts as a product state, so its acceleration is the
     one-sided stencil ``(S(2 delta) - 2 S(delta)) / delta**2``.  The evolved
-    branch is read in the frame of the pair ``(a, b)``, and the small
-    eigenvalue of its reduced state follows from the determinant
-    ``(1 - |r1|^2) |r1|^2 - |<r1, r0>|^2``, which has no ``tr - disc``
-    cancellation.  Branches below ``ZERO_WEIGHT_TOL`` contribute nothing.
+    branch is read in the frame of the pair ``(a, b)``, and its entropy
+    follows from the determinant ``(1 - |r1|^2) |r1|^2 - |<r1, r0>|^2``
+    (:func:`entanglement._entropies_of_dets`).  Branches below
+    ``ZERO_WEIGHT_TOL`` contribute nothing.
     """
     half = thetas / 2.0
     vals = (_monomials(np.cos(half), np.sin(half)) @ coeffs) @ _harmonics(np.exp(1j * phis))
@@ -321,15 +306,14 @@ def _scan_grid(
     live = c2 >= ZERO_WEIGHT_TOL**2
     weight = np.where(live, c2, 1.0)[:, None]
     r1_sq = vals[:, 1:3].real / weight
-    det = np.clip((1.0 - r1_sq) * r1_sq - np.abs(vals[:, 3:] / weight) ** 2, 0.0, 0.25)
-    s = _branch_entropy(2.0 * det / (1.0 + np.sqrt(1.0 - 4.0 * det)))
+    s = entanglement._entropies_of_dets((1.0 - r1_sq) * r1_sq - np.abs(vals[:, 3:] / weight) ** 2)
     acc = np.where(live, c2 * (s[:, 1] - 2.0 * s[:, 0]) / delta**2, 0.0)
     return acc[0] + acc[1]
 
 
 def _scan_point(coeffs: np.ndarray, theta: float, phi: float, delta: float) -> float:
     """:func:`_scan_grid` at one candidate: the same two products, and the
-    same tail on four pairs of scalars."""
+    same tail on four pairs of scalars (:func:`entanglement._entropy_of_det`)."""
     half = theta / 2.0
     v = _monomials(math.cos(half), math.sin(half))
     vals = (v @ coeffs) @ _harmonics(complex(math.cos(phi), math.sin(phi)))
@@ -341,10 +325,7 @@ def _scan_point(coeffs: np.ndarray, theta: float, phi: float, delta: float) -> f
         s = []
         for r1_sq, overlap in zip(numbers[:2], numbers[2:]):
             r1_sq = r1_sq.real / c2
-            det = min(max((1.0 - r1_sq) * r1_sq - abs(overlap / c2) ** 2, 0.0), 0.25)
-            lam = 2.0 * det / (1.0 + math.sqrt(1.0 - 4.0 * det))
-            small = -lam * math.log(lam) if lam > entanglement.EIG_CUTOFF else 0.0
-            s.append(max(small - (1.0 - lam) * math.log1p(-lam), 0.0))
+            s.append(entanglement._entropy_of_det((1.0 - r1_sq) * r1_sq - abs(overlap / c2) ** 2))
         total += c2 * (s[1] - 2.0 * s[0]) / delta**2
     return total
 

@@ -1,18 +1,19 @@
 """Von Neumann entropy of the system qubit and its first two time derivatives.
 
 Entropy is reported in nats throughout; the rate formulas then carry no
-base-conversion factors.  The speed and acceleration are closed forms in
-psi, H psi and H^2 psi (:func:`_entropy_rates`): the entropy is a function
-of the reduced state's Gram determinant alone, whose derivatives are sums
-of 2x2 Gram blocks.  At a product state, exactly where collapse dynamics
-operates, the speed is 0 and the acceleration infinite, so there the
-acceleration is the one-sided second difference of exact short evolutions.
+base-conversion factors.  The entropy is a function of the reduced state's
+Gram determinant alone, and every system entropy comes from one
+determinant-to-entropy rule (:func:`_entropy_of_det`, and its array twin
+for the basis-scan grid).  The speed and acceleration are closed forms in
+psi, H psi and H^2 psi (:func:`_entropy_rates`), whose determinant also
+gives the sample's entropy.  At a product state, exactly where collapse
+dynamics operates, the speed is 0 and the acceleration infinite, so there
+the acceleration is the one-sided second difference of the entropies of
+exact short evolutions, by the same rule.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -51,44 +52,34 @@ def entropy(rho) -> float:
     return entropy_from_eigenvalues(rho.eigenvalues())
 
 
-def _qubit_eigenvalues(amps: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues of the system qubit's reduced state, closed form."""
-    m = amps.reshape(2, -1)
-    r00 = float(np.real(np.vdot(m[0], m[0])))
-    r11 = float(np.real(np.vdot(m[1], m[1])))
-    r01 = complex(np.vdot(m[1], m[0]))  # <0|rho|1>
-    tr = r00 + r11
-    disc = math.sqrt(max((r00 - r11) ** 2 + 4.0 * abs(r01) ** 2, 0.0))
-    return 0.5 * (tr - disc), 0.5 * (tr + disc)
+def _entropy_of_det(d: float) -> float:
+    """Entropy of a qubit state whose Gram determinant (the product of its
+    eigenvalues) is ``d``, clipped to [0, 1/4].
 
-
-def state_entropy(psi) -> float:
-    """Entropy of the system qubit for a full register state."""
-    amps = psi.amplitudes if isinstance(psi, core.StateVector) else np.asarray(psi, complex)
-    return entropy_from_eigenvalues(_qubit_eigenvalues(amps))
-
-
-def block_entropies(block: np.ndarray) -> np.ndarray:
-    """System-qubit entropies for every column of a (dim, m) state block.
-
-    Each column's reduced-state entries are summed along a contiguous row,
-    where numpy sums pairwise.  A sequential sum's roundoff differs between
-    neighbouring columns and leaks into the finite-difference stencils,
-    which divide entropy differences by small steps.
+    The small eigenvalue ``lam = 2 d / (1 + sqrt(1 - 4 d))`` keeps d's
+    digits, where ``(1 - sqrt(1 - 4 d)) / 2`` cancels near a product state.
     """
-    dim, m = block.shape
-    rows = np.ascontiguousarray(block.T).reshape(m, 2, dim // 2)
-    up, down = rows[:, 0], rows[:, 1]
-    r00 = np.square(up.view(np.float64)).sum(axis=1)
-    r11 = np.square(down.view(np.float64)).sum(axis=1)
-    r01 = (up * down.conj()).sum(axis=1)
-    disc = np.sqrt(np.maximum((r00 - r11) ** 2 + 4.0 * np.abs(r01) ** 2, 0.0))
-    tr = r00 + r11
-    lams = np.stack([0.5 * (tr - disc), 0.5 * (tr + disc)])
-    out = np.zeros(m)
-    mask = lams > EIG_CUTOFF
-    out -= np.sum(np.where(mask, lams * np.log(np.where(mask, lams, 1.0)), 0.0), axis=0)
-    return np.maximum(out, 0.0)
+    d = min(max(d, 0.0), 0.25)
+    lam = 2.0 * d / (1.0 + math.sqrt(1.0 - 4.0 * d))
+    small = -lam * math.log(lam) if lam > EIG_CUTOFF else 0.0
+    return max(small - (1.0 - lam) * math.log1p(-lam), 0.0)
+
+
+def _entropies_of_dets(d: np.ndarray) -> np.ndarray:
+    """:func:`_entropy_of_det` elementwise, by the same arithmetic."""
+    d = np.clip(d, 0.0, 0.25)
+    lam = 2.0 * d / (1.0 + np.sqrt(1.0 - 4.0 * d))
+    above = lam > EIG_CUTOFF
+    small = -np.where(above, lam * np.log(np.where(above, lam, 1.0)), 0.0)
+    return np.maximum(small - (1.0 - lam) * np.log1p(-lam), 0.0)
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``out[i, j] = <x[i], y[j]>``, each a sum along a contiguous row, where
+    numpy sums pairwise, so its bits depend neither on the BLAS thread count
+    nor on the other rows."""
+    xc = x.conj()
+    return np.array([(row * xc).sum(axis=-1) for row in y]).T
 
 
 def _pair(x: tuple, y: tuple) -> float:
@@ -97,8 +88,24 @@ def _pair(x: tuple, y: tuple) -> float:
     return x[0] * y[1] + x[1] * y[0] - 2.0 * (x[2] * y[2].conjugate()).real
 
 
-def _entropy_rates(moments: np.ndarray) -> tuple[float, float]:
-    """S' and S'' of the system qubit from psi, H psi and H^2 psi, the
+def _det(rho: tuple) -> float:
+    """Gram determinant of the reduced state ``rho = (r00, r11, r01)``
+    over its squared trace."""
+    return 0.5 * _pair(rho, rho) / (rho[0] + rho[1]) ** 2
+
+
+def state_entropy(psi) -> float:
+    """Entropy of the system qubit for a full register state (or any
+    amplitude vector; it need not be normalized), from its reduced state's
+    Gram determinant as in :func:`_entropy_rates`."""
+    amps = psi.amplitudes if isinstance(psi, core.StateVector) else np.asarray(psi, complex)
+    m = amps.reshape(2, -1)
+    g = _inner(m, m).tolist()  # g[i][j] = <m_i, m_j>
+    return _entropy_of_det(_det((g[0][0].real, g[1][1].real, g[1][0])))
+
+
+def _entropy_rates(moments: np.ndarray) -> tuple[float, float, float]:
+    """S, S' and S'' of the system qubit from psi, H psi and H^2 psi, the
     rows of a contiguous (3, dim) array; psi need not be normalized.
 
     With ``M = psi.reshape(2, -1)``, ``A = -i (H psi).reshape(2, -1)`` and
@@ -106,18 +113,18 @@ def _entropy_rates(moments: np.ndarray) -> tuple[float, float]:
     ``rho' = A M^H + M A^H`` and ``rho'' = B M^H + 2 A A^H + M B^H``, and
     its Gram determinant D (the product of its eigenvalues) has
     ``D' = P(rho, rho')`` and ``D'' = P(rho, rho'') + P(rho', rho')`` with
-    :func:`_pair` as P.  The entropy is a function of D alone: with
-    ``s = sqrt(1 - 4D)``, ``S' = D' 2 atanh(s)/s`` and
+    :func:`_pair` as P.  The entropy is a function of D alone
+    (:func:`_entropy_of_det`): with ``s = sqrt(1 - 4D)``,
+    ``S' = D' 2 atanh(s)/s`` and
     ``S'' = (D'' + 2 D'^2/s^2) 2 atanh(s)/s - D'^2/(s^2 D)``; below
     ``s = 0.05`` (a nearly maximally mixed qubit) both weights come from
-    their series.  At D <= 0 (an exact product state) S' is 0 and S'' is
-    +inf.  Each Gram entry is a sum along a contiguous row, as in
-    :func:`block_entropies`, so its bits do not depend on BLAS threads.
+    their series.  At D <= 0 (an exact product state) S and S' are 0 and
+    S'' is +inf.  Each Gram entry is a sum along a contiguous row
+    (:func:`_inner`), so its bits do not depend on BLAS threads.
     """
     rows = moments.reshape(6, -1)  # m0, m1, (H psi)0, 1, (H^2 psi)0, 1
-    conj = rows[:4].conj()
-    g = [(row * conj[:2]).sum(axis=-1).tolist() for row in rows]  # g[i][j] = <m_j, row_i>
-    hh = [(row * conj[2:]).sum(axis=-1).tolist() for row in rows[2:4]]
+    g = _inner(rows[:2], rows).T.tolist()  # g[i][j] = <m_j, row_i>
+    hh = _inner(rows[2:4], rows[2:4]).T.tolist()
     rho = (g[0][0].real, g[1][1].real, g[0][1])
     rho1 = (2.0 * g[2][0].imag, 2.0 * g[3][1].imag, 1j * (g[3][0].conjugate() - g[2][1]))
     rho2 = (
@@ -125,10 +132,10 @@ def _entropy_rates(moments: np.ndarray) -> tuple[float, float]:
         2.0 * (hh[1][1] - g[5][1]).real,
         2.0 * hh[0][1] - g[4][1] - g[5][0].conjugate(),
     )
-    norm2 = (rho[0] + rho[1]) ** 2  # D and its derivatives are quadratic in psi
-    d = 0.5 * _pair(rho, rho) / norm2
+    d = _det(rho)
     if not d > 0.0:
-        return 0.0, math.inf
+        return 0.0, 0.0, math.inf
+    norm2 = (rho[0] + rho[1]) ** 2  # D and its derivatives are quadratic in psi
     d1 = _pair(rho, rho1) / norm2
     d2 = (_pair(rho, rho2) + _pair(rho1, rho1)) / norm2
     s = math.sqrt(max(1.0 - 4.0 * d, 0.0))
@@ -143,21 +150,30 @@ def _entropy_rates(moments: np.ndarray) -> tuple[float, float]:
         # product state, where 1 - s loses them
         weight = (2.0 * math.log1p(s) - math.log(4.0 * d)) / s
         curvature = (2.0 * weight - 1.0 / d) / (s * s)
-    return d1 * weight, d2 * weight + d1 * d1 * curvature
+    return _entropy_of_det(d), d1 * weight, d2 * weight + d1 * d1 * curvature
 
 
 def _one_sided(psi: core.StateVector, h: core.PauliTermSum, delta: float) -> float:
     """(eps(2 delta) - 2 eps(delta)) / delta^2 at a product state, where the
     entropy and its speed vanish and S'' is infinite."""
-    e1, e2 = block_entropies(core.evolve_times(psi, h, [delta, 2.0 * delta]))
-    return float(e2 - 2.0 * e1) / delta**2
+    e1, e2 = (state_entropy(col) for col in core.evolve_times(psi, h, [delta, 2.0 * delta]).T)
+    return (e2 - 2.0 * e1) / delta**2
+
+
+def _acceleration(rates: tuple, psi: core.StateVector, h: core.PauliTermSum,
+                  delta: float) -> float:
+    """S'' from the ``rates`` of :func:`_entropy_rates` at ``psi``, or, where
+    their entropy is below ``PRODUCT_ENTROPY`` (a product state, where S''
+    is +inf), the one-sided stencil over ``delta``."""
+    entropy, _, curvature = rates
+    return _one_sided(psi, h, delta) if entropy < PRODUCT_ENTROPY else curvature
 
 
 def entangling_speed(psi: core.StateVector, h: core.PauliTermSum) -> float:
     """d(entropy)/dt of the system qubit at the given instant, in closed
     form (:func:`_entropy_rates`) from one ``moments([0])`` query; 0 at a
     product state."""
-    return _entropy_rates(core.Propagator(psi, h).moments([0.0])[0])[0]
+    return _entropy_rates(core.Propagator(psi, h).moments([0.0])[0])[1]
 
 
 def _check_accel_step(delta: float) -> None:
@@ -181,9 +197,8 @@ def entangling_acceleration(
     evolutions; ``delta`` must be at least ``MIN_ACCEL_STEP``.
     """
     _check_accel_step(delta)
-    if state_entropy(psi) < PRODUCT_ENTROPY:
-        return _one_sided(psi, h, delta)
-    return _entropy_rates(core.Propagator(psi, h).moments([0.0])[0])[1]
+    rates = _entropy_rates(core.Propagator(psi, h).moments([0.0])[0])
+    return _acceleration(rates, psi, h, delta)
 
 
 @dataclass
@@ -223,26 +238,6 @@ class EntanglementTrace:
                 self.epsilon_ddot[i] * scale,
             )
 
-    def to_csv(self, path_or_file, comment: str | None = None, units: str = "nats") -> None:
-        """Write columns t, epsilon, epsilon_dot, epsilon_ddot."""
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        f = open(path_or_file, "w", newline="") if own else path_or_file
-        try:
-            if comment:
-                f.write(f"# {comment}\n")
-            writer = csv.writer(f)
-            writer.writerow(TRACE_COLUMNS)
-            for row in self.rows(units):
-                writer.writerow([repr(float(v)) for v in row])
-        finally:
-            if own:
-                f.close()
-
-    def to_csv_text(self, comment: str | None = None, units: str = "nats") -> str:
-        buf = io.StringIO()
-        self.to_csv(buf, comment=comment, units=units)
-        return buf.getvalue()
-
 
 def _unit_scale(units: str) -> float:
     if units == "nats":
@@ -265,18 +260,18 @@ def _sample(
     :func:`collapse.run_trajectory`.
 
     Samples entropy, speed and acceleration at ``k * dt`` for
-    ``k = 0 .. steps``, the derivatives in closed form
-    (:func:`_entropy_rates`).  One :func:`core.moment_window` serves a
-    window of ``J = floor(4 / (coefficient_scale() * dt))`` samples (at
-    least one) through one :meth:`core.Propagator.moments` query: one
-    product back from the eigenbasis, or one Lanczos basis within its
-    reach.  Each sample's state is renormalized and drift-guarded there; the
-    window's last state starts the next window.  A product state (entropy
-    below ``PRODUCT_ENTROPY``) takes its acceleration from the one-sided
-    stencil.  ``on_sample(t, state, epsilon_dot)`` runs once after each
-    sample, in order, and returns the state to continue from, which is how
-    a trajectory substitutes a collapsed branch; a new state ends the window
-    and starts the next.
+    ``k = 0 .. steps``, all three from one :func:`_entropy_rates` call.
+    One :func:`core.moment_window` serves a window of
+    ``J = floor(4 / (coefficient_scale() * dt))`` samples (at least one)
+    through one :meth:`core.Propagator.moments` query: one product back
+    from the eigenbasis, or one Lanczos basis within its reach.  Each
+    sample's state is renormalized and drift-guarded there; the window's
+    last state starts the next window.  A product state (entropy below
+    ``PRODUCT_ENTROPY``) takes its acceleration from the one-sided stencil
+    (:func:`_acceleration`).  ``on_sample(t, state, epsilon_dot)`` runs
+    once after each sample, in order, and returns the state to continue
+    from, which is how a trajectory substitutes a collapsed branch; a new
+    state ends the window and starts the next.
     """
     _check_accel_step(accel_delta)
     times = np.arange(steps + 1) * dt
@@ -287,10 +282,9 @@ def _sample(
     while k <= steps:
         for j, psi, moments in core.moment_window(state, h, dt, k - start, steps - start):
             k = start + j
-            eps[k] = state_entropy(psi)
-            eps_dot[k], eps_ddot[k] = _entropy_rates(moments)
-            if eps[k] < PRODUCT_ENTROPY:
-                eps_ddot[k] = _one_sided(psi, h, accel_delta)
+            rates = _entropy_rates(moments)
+            eps[k], eps_dot[k] = rates[:2]
+            eps_ddot[k] = _acceleration(rates, psi, h, accel_delta)
             state = psi
             if on_sample is not None:
                 state = on_sample(float(times[k]), psi, eps_dot[k])

@@ -17,6 +17,10 @@
   one-sided at a product state), which the closed form
   ``entanglement._entropy_rates`` replaced; ``richardson_acceleration``
   extrapolates the symmetric stencil over delta and delta / 2;
+* ``block_entropies``: the system-qubit entropies of a block's columns
+  from the eigenvalues ``(tr -+ disc) / 2``, which cancel near a product
+  state; ``entanglement._entropy_of_det`` replaced them with the Gram
+  determinant's small eigenvalue ``2 D / (1 + sqrt(1 - 4 D))``;
 * ``sample_per_call``: the sampling loop that evolved its state afresh for
   every sample (``core.evolve`` over one ``dt``) and took the speed and
   acceleration from the stencils on that state.
@@ -121,8 +125,27 @@ def evolve_on_path(psi, h, dt, path):
 FD_STEP = 1e-4
 
 
+def block_entropies(block):
+    """System-qubit entropies of every column of a (dim, m) block, each from
+    the two eigenvalues ``(tr -+ disc) / 2`` of its reduced state."""
+    dim, m = block.shape
+    rows = np.ascontiguousarray(block.T).reshape(m, 2, dim // 2)
+    up, down = rows[:, 0], rows[:, 1]
+    r00 = np.square(up.view(np.float64)).sum(axis=1)
+    r11 = np.square(down.view(np.float64)).sum(axis=1)
+    r01 = (up * down.conj()).sum(axis=1)
+    disc = np.sqrt(np.maximum((r00 - r11) ** 2 + 4.0 * np.abs(r01) ** 2, 0.0))
+    tr = r00 + r11
+    lams = np.stack([0.5 * (tr - disc), 0.5 * (tr + disc)])
+    mask = lams > entanglement.EIG_CUTOFF
+    out = -np.sum(np.where(mask, lams * np.log(np.where(mask, lams, 1.0)), 0.0), axis=0)
+    return np.maximum(out, 0.0)
+
+
 def _entropies(psi, h, offsets):
-    return entanglement.block_entropies(core.evolve_times(psi, h, offsets))
+    return np.array(
+        [entanglement.state_entropy(col) for col in core.evolve_times(psi, h, offsets).T]
+    )
 
 
 def richardson_speed(psi, h, fd_step=FD_STEP):

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qcollapse import cli, collapse
+from qcollapse import cli, collapse, entanglement
 
 
 def run_cli(*argv):
@@ -90,11 +90,21 @@ def test_cmd_trace_files_and_summary(tmp_path):
         "--set", "check_interval=0.05", "--out", str(out),
     )
     assert code == 0
+    cfg = cli.load_config(None, {"n_list": (2, 3), "t_max": 0.4, "check_interval": 0.05})
     for n in (2, 3):
         lines = read_lines(out / f"trace_n{n}.csv")
-        assert lines[0].startswith("# config_hash=")
+        assert lines[0] == f"# config_hash={cli.config_hash(cfg)}"
         assert lines[1] == "t,epsilon,epsilon_dot,epsilon_ddot"
         assert len(lines) == 2 + 9  # header rows + 9 samples
+        # the cells parse back to the trace's own values, bit for bit
+        trace = entanglement.compute_trace(
+            cli._initial_state(cfg, n), cli._hamiltonian(cfg, n), t_max=0.4, dt=0.05
+        )
+        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+        expected = np.column_stack(
+            [trace.times, trace.epsilon, trace.epsilon_dot, trace.epsilon_ddot]
+        )
+        np.testing.assert_array_equal(parsed, expected)
     summary = read_lines(out / "trace_summary.csv")
     assert summary[1] == "n,peak_epsilon_dot,t_peak"
     rows = [line.split(",") for line in summary[2:]]

@@ -1,10 +1,17 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from propagation_oracles import richardson_acceleration, richardson_speed, stencil_acceleration
+from propagation_oracles import (
+    block_entropies,
+    richardson_acceleration,
+    richardson_speed,
+    stencil_acceleration,
+)
 from qcollapse import core, entanglement, experiment
 
 
@@ -45,12 +52,44 @@ def test_entropy_range_for_random_states(rng):
 
 
 def test_block_entropies_match_scalar_path(rng):
+    # the determinant kernel against the ``tr - disc`` eigenvalue route
     cols = np.column_stack([random_state(rng, 3).amplitudes for _ in range(6)])
-    batch = entanglement.block_entropies(cols)
+    batch = block_entropies(cols)
     for j in range(6):
         assert batch[j] == pytest.approx(
             entanglement.state_entropy(cols[:, j]), abs=1e-12
         )
+
+
+def exact_entropy(amps):
+    """The system qubit's entropy of the given double amplitudes: the Gram
+    entries in exact rational arithmetic, the logarithms in 60 digits."""
+    x = [[(Fraction(float(a.real)), Fraction(float(a.imag))) for a in row]
+         for row in amps.reshape(2, -1)]
+
+    def gram(u, v):  # <u, v>
+        re = sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(u, v))
+        im = sum(ar * bi - ai * br for (ar, ai), (br, bi) in zip(u, v))
+        return re, im
+
+    (r00, _), (r11, _), (re, im) = gram(x[0], x[0]), gram(x[1], x[1]), gram(x[1], x[0])
+    d = (r00 * r11 - re * re - im * im) / (r00 + r11) ** 2
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(d.numerator) / Decimal(d.denominator)
+        lam = 2 * d / (1 + (1 - 4 * d).sqrt())
+        return float(-lam * lam.ln() - (1 - lam) * (1 - lam).ln())
+
+
+def test_state_entropy_matches_exact_arithmetic_near_a_product_state(rng):
+    # small eigenvalues 1e-6 and 1e-10, where (tr - disc) / 2 keeps only
+    # 1e-11 and 1e-7 of its relative digits
+    for scale in (1.0, 1e-3, 1e-5):
+        m0 = rng.normal(size=8) + 1j * rng.normal(size=8)
+        m1 = scale * (rng.normal(size=8) + 1j * rng.normal(size=8))
+        amps = np.concatenate([m0, m1])
+        amps /= np.linalg.norm(amps)
+        assert entanglement.state_entropy(amps) == pytest.approx(exact_entropy(amps), rel=1e-13)
 
 
 def test_analytic_reduced_eigenvalues_oracle():
@@ -168,12 +207,12 @@ def test_closed_form_rates_match_richardson_stencils(num_sites):
 
 
 def test_rates_at_an_exact_product_state():
-    # D = 0 exactly (the diagonal path keeps |+++> exact): the speed is 0
-    # and the closed-form acceleration +inf
+    # D = 0 exactly (the diagonal path keeps |+++> exact): the entropy and
+    # the speed are 0 and the closed-form acceleration +inf
     psi = core.StateVector.uniform_plus(3)
     h = core.degenerate_ising(2)
     moments = core.Propagator(psi, h).moments([0.0])[0]
-    assert entanglement._entropy_rates(moments) == (0.0, math.inf)
+    assert entanglement._entropy_rates(moments) == (0.0, 0.0, math.inf)
     assert entanglement.entangling_acceleration(psi, h) == stencil_acceleration(psi, h) > 0.0
 
 
@@ -244,21 +283,13 @@ def test_acceleration_step_validation(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_trace_invariants_and_csv_roundtrip():
+def test_trace_invariants():
     h = core.transverse_coupled(2)
     tr = entanglement.compute_trace(
         core.StateVector.uniform_plus(3), h, t_max=0.5, dt=0.05, model_tag="transverse_coupled"
     )
     assert tr.epsilon[0] == pytest.approx(0.0, abs=1e-9)
     assert np.all(np.diff(tr.times) > 0)
-
-    text = tr.to_csv_text(comment="config_hash=deadbeef")
-    lines = text.strip().splitlines()
-    assert lines[0] == "# config_hash=deadbeef"
-    assert lines[1] == "t,epsilon,epsilon_dot,epsilon_ddot"
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
-    np.testing.assert_allclose(parsed[:, 0], tr.times)
-    np.testing.assert_allclose(parsed[:, 1], tr.epsilon)
 
 
 def test_trace_bits_units_scale():

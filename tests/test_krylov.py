@@ -323,14 +323,45 @@ def test_trace_speed_matches_analytic_speed_along_ten_site_run():
     assert worst <= 1e-10
 
 
+def _pythonpath():
+    """PYTHONPATH for a subprocess that imports this checkout's qcollapse."""
+    src = str(Path(qcollapse.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
+def test_entropy_bits_do_not_depend_on_blas_threads():
+    # a 16-site state normalized by a fixed-order sum, so only the entropy's
+    # own reduction could bring in the BLAS thread count: its Gram entries
+    # are row sums (`entanglement._inner`), not `np.vdot`, which OpenBLAS
+    # splits across threads at this size
+    script = (
+        "import numpy as np\n"
+        "from qcollapse import entanglement\n"
+        "rng = np.random.default_rng(7)\n"
+        "v = rng.normal(size=2**16) + 1j * rng.normal(size=2**16)\n"
+        "v /= np.sqrt(np.square(v.view(np.float64)).sum())\n"
+        "print(repr(entanglement.state_entropy(v)))\n"
+    )
+    printed = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=_pythonpath()),
+            check=True, capture_output=True, text=True, timeout=120,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert 0.69 < float(printed[0]) < math.log(2.0)
+    assert printed[0] == printed[1]
+
+
 def test_trace_bytes_do_not_depend_on_blas_threads(tmp_path):
     # holds at 10 and 13 sites; at 16 sites OpenBLAS splits the Lanczos
-    # projections and the norm guards across threads and the digits move.
+    # projections and the norm guards across threads and the digits move
+    # (the entropy itself does not: see the test above).
     # Nothing here runs at 9 sites or fewer: there `np.linalg.eigh` returns
     # eigenvectors that differ between thread counts inside degenerate
     # eigenspaces, so 8- and 9-site payloads move too
-    src = str(Path(qcollapse.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    pythonpath = _pythonpath()
     commands = (
         ["trace", "--set", "n_list=9,12", "--set", "t_max=0.1"],
         # collapse events: the closed-form speed decides each crossing

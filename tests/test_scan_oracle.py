@@ -8,7 +8,7 @@ They are held here to three routes:
 
 * the product-branch evaluator, copied in as ``oracle_grid``: each branch
   ``a (x) env`` is evolved by delta twice and its entropies come from
-  ``entanglement.block_entropies`` (the ``tr - disc`` eigenvalue);
+  ``propagation_oracles.block_entropies`` (the ``tr - disc`` eigenvalue);
 * an explicit rotated-frame route, ``explicit_mean_accel``: each branch is
   evolved by ``core.evolve`` to delta and to 2 delta, read in the pair
   (a, b), and its small eigenvalue taken from the Gram determinant;
@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from propagation_oracles import evolve_block
+from propagation_oracles import block_entropies, evolve_block
 from qcollapse import collapse, core, entanglement
 
 DELTA = entanglement.DEFAULT_ACCEL_STEP
@@ -32,8 +32,8 @@ def oracle_branch_accelerations(sys_rows, env_rows, h, delta):
     block = np.einsum("ma,me->mae", sys_rows, env_rows).reshape(sys_rows.shape[0], -1).T
     b1 = evolve_block(block, h, delta, "auto")
     b2 = evolve_block(b1, h, delta, "auto")
-    s1 = entanglement.block_entropies(b1)
-    s2 = entanglement.block_entropies(b2)
+    s1 = block_entropies(b1)
+    s2 = block_entropies(b2)
     return (s2 - 2.0 * s1) / delta**2
 
 
