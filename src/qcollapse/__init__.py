@@ -28,6 +28,7 @@ from .collapse import (
     CandidateBasis,
     CollapseEvent,
     CompletenessError,
+    HistoryTree,
     RelativeDecomposition,
     ScanSettings,
     ThresholdPolicy,
@@ -43,7 +44,13 @@ from .collapse import (
     scan_collapse_basis,
 )
 from .energy import EnergyAudit, audit_collapse, energy_after_ensemble, energy_before, energy_delta
-from .experiment import RevivalReport, analytic_state, revival_protocol, revival_time
+from .experiment import (
+    RevivalReport,
+    analytic_state,
+    revival_protocol,
+    revival_time,
+    revival_tree,
+)
 from .bullet import (
     BulletParams,
     GridSpec,

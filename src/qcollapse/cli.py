@@ -324,6 +324,12 @@ def cmd_bullet(cfg: RunConfig, out_dir: Path) -> list[Path]:
 def cmd_revival(cfg: RunConfig, out_dir: Path) -> list[Path]:
     """Revival readout for one size plus the event-count sweep table."""
     hash_ = config_hash(cfg)
+    # one history tree per size, built before any sweep thread starts: the
+    # sweep row at cfg.n walks the seed of the protocol's first trial
+    trees = {
+        n: experiment.revival_tree(n, cfg.g, _policy(cfg), cfg.basis_method, _scan_settings(cfg))
+        for n in dict.fromkeys((cfg.n, *cfg.n_list))
+    }
     report = experiment.revival_protocol(
         cfg.n,
         cfg.g,
@@ -332,6 +338,7 @@ def cmd_revival(cfg: RunConfig, out_dir: Path) -> list[Path]:
         seed=cfg.seed,
         basis_method=cfg.basis_method,
         scan_settings=_scan_settings(cfg),
+        trees=trees,
     )
     report_path = out_dir / "revival.json"
     report_path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -339,7 +346,7 @@ def cmd_revival(cfg: RunConfig, out_dir: Path) -> list[Path]:
     def one(n: int) -> experiment.SweepRow:
         return experiment.critical_n_sweep(
             (n,), cfg.g, _policy(cfg), seed=cfg.seed,
-            basis_method=cfg.basis_method, scan_settings=_scan_settings(cfg),
+            basis_method=cfg.basis_method, scan_settings=_scan_settings(cfg), trees=trees,
         )[0]
 
     rows = _map_jobs(one, list(cfg.n_list), cfg.jobs)

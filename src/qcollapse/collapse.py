@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -523,15 +524,23 @@ class SampleResult:
     rng_draw: float
 
 
-def sample_outcome(decomp: RelativeDecomposition, rng: np.random.Generator) -> SampleResult:
-    """Inverse-CDF Born sampling; returns the collapsed product state."""
-    probs = decomp.born_probabilities()
+def _born_draw(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
+    """One uniform draw from ``rng`` and the outcome that the inverse Born
+    CDF of ``probs`` picks for it: ``(outcome, draw)``."""
     cdf = np.cumsum(probs / probs.sum())
     u = float(rng.random())
     outcome = int(np.searchsorted(cdf, u, side="right"))
-    outcome = min(outcome, probs.size - 1)
-    state = core.StateVector(decomp.branch_state(outcome), normalize=True)
-    return SampleResult(outcome, state, u)
+    return min(outcome, probs.size - 1), u
+
+
+def _collapsed(decomp: RelativeDecomposition, outcome: int) -> core.StateVector:
+    return core.StateVector(decomp.branch_state(outcome), normalize=True)
+
+
+def sample_outcome(decomp: RelativeDecomposition, rng: np.random.Generator) -> SampleResult:
+    """Inverse-CDF Born sampling; returns the collapsed product state."""
+    outcome, u = _born_draw(decomp.born_probabilities(), rng)
+    return SampleResult(outcome, _collapsed(decomp, outcome), u)
 
 
 @dataclass(frozen=True)
@@ -609,6 +618,153 @@ def determine_basis(
     return (None if report.flat else basis), "scan", operator_first
 
 
+class _Node:
+    """One outcome prefix of a :class:`HistoryTree`: its state, the trace
+    rows of its segment, its event (``basis`` is None on a leaf) and one
+    child per outcome visited so far."""
+
+    __slots__ = ("t0", "state", "e_actual", "rows", "k", "basis", "decomp", "probs",
+                 "e_before", "e_after", "children", "final")
+
+    def __init__(self, t0: float, state: core.StateVector, e_actual):
+        self.t0 = t0  # time of the state: 0 at the root, else the parent's t_c
+        self.state = state
+        self.e_actual = e_actual  # energy of the collapsed branch (None at the root)
+        self.children: dict[int, _Node] = {}
+        self.final = None  # the state at t_max, once a leaf is asked for it
+
+
+class HistoryTree:
+    """All trajectories of one start state, operator, policy and basis rule,
+    as a tree of outcome prefixes.
+
+    A trajectory is deterministic between Born draws, so its state after a
+    prefix of outcomes depends on the prefix alone.  A node (one prefix) is
+    evolved, scanned and energy-audited once, when a walk first reaches it.
+    Its segment is a run of the sampling loop shared with
+    :func:`entanglement.compute_trace` (``ceil(t_max / check_interval)``
+    steps of ``policy.check_interval`` in all, speed in closed form), from
+    the node's state up to the first crossing whose basis
+    :func:`determine_basis` finds; a flat scan skips the crossing.  There
+    the node decomposes the state and keeps the Born weights and the
+    energies before and after collapse (ensemble).  A child per outcome
+    starts from the collapsed branch and resumes the loop at the next
+    sample.  Event times are grid times; no sub-step root polishing is
+    attempted.
+
+    :meth:`walk` reads one trajectory off the tree, with one draw per
+    event; :meth:`final_state` evolves a leaf's state to ``t_max`` once.
+    ``nodes`` counts the nodes built so far.  Walks of one tree from
+    several threads take turns.
+    """
+
+    def __init__(
+        self,
+        initial: core.StateVector,
+        h: core.PauliTermSum,
+        policy: ThresholdPolicy,
+        t_max: float,
+        basis_method: str = "auto",
+        scan_settings: ScanSettings | None = None,
+        accel_delta: float = entanglement.DEFAULT_ACCEL_STEP,
+        model_tag: str = "custom",
+    ):
+        _check_basis_method(basis_method)
+        if t_max <= 0.0:
+            raise ValueError("t_max must be positive")
+        self.initial, self.h, self.policy, self.t_max = initial, h, policy, t_max
+        self.basis_method = basis_method
+        self.scan_settings = scan_settings or ScanSettings()
+        self.accel_delta = accel_delta
+        self.model_tag = model_tag
+        self.steps = int(math.ceil(t_max / policy.check_interval - 1e-12))
+        self.nodes = 0
+        self._root = None
+        self._lock = threading.Lock()
+
+    def _event_basis(self, t: float, state: core.StateVector, epsilon_dot: float):
+        if not check_threshold(epsilon_dot, self.policy):
+            return None
+        basis, _, _ = determine_basis(state, self.h, self.basis_method, self.scan_settings)
+        if basis is None:
+            logger.warning("flat basis landscape; collapse event skipped")
+        return basis
+
+    def _grow(self, start, state: core.StateVector) -> _Node:
+        """The node whose state sits at sample ``start`` (None: the root,
+        at t = 0), with its segment and its event evaluated."""
+        # imported here: energy builds on the decomposition types above
+        from . import energy as energy_mod
+
+        dt = self.policy.check_interval
+        if start is None:
+            node = _Node(0.0, state, None)
+        else:
+            node = _Node(start * dt, state, energy_mod.energy_before(state, self.h))
+        node.rows, node.k, psi, node.basis = entanglement._sample(
+            state, self.h, dt, self.steps, self.accel_delta, start, self._event_basis
+        )
+        if node.basis is not None:
+            node.decomp = decompose(psi, node.basis)
+            node.probs = node.decomp.born_probabilities()
+            node.e_before = energy_mod.energy_before(psi, self.h)
+            node.e_after = energy_mod.energy_after_ensemble(node.decomp, self.h)
+        self.nodes += 1
+        return node
+
+    def walk(self, seed: int) -> tuple[entanglement.EntanglementTrace, list, _Node]:
+        """The trajectory of ``seed``: ``(trace, events, leaf)``.
+
+        The draws come from a Philox generator seeded by ``seed``, one per
+        event and in order, through :func:`sample_outcome`'s arithmetic, so
+        every walk returns the trace and events of the sampling loop run
+        with that seed, bit for bit.
+        """
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        dt = self.policy.check_interval
+        events: list[CollapseEvent] = []
+        with self._lock:
+            if self._root is None:
+                self._root = self._grow(None, self.initial)
+            node = self._root
+            segments = [node.rows]
+            while node.basis is not None:
+                outcome, u = _born_draw(node.probs, rng)
+                child = node.children.get(outcome)
+                if child is None:
+                    child = self._grow(node.k, _collapsed(node.decomp, outcome))
+                    node.children[outcome] = child
+                events.append(
+                    CollapseEvent(
+                        t_c=node.k * dt,
+                        basis=node.basis,
+                        born_weights=tuple(float(p) for p in node.probs),
+                        outcome_index=outcome,
+                        e_before=node.e_before,
+                        e_after_ensemble=node.e_after,
+                        e_after_actual=child.e_actual,
+                        rng_draw=u,
+                    )
+                )
+                node = child
+                segments.append(node.rows)
+        rows = (np.concatenate([seg[i] for seg in segments]) for i in range(3))
+        trace = entanglement.EntanglementTrace(
+            np.arange(self.steps + 1) * dt, *rows, self.model_tag, self.initial.n_env
+        )
+        return trace, events, node
+
+    def final_state(self, leaf: _Node) -> core.StateVector:
+        """A leaf's state evolved from its collapse (or from t = 0) to
+        ``t_max`` by one :func:`core.evolve`, computed once per leaf."""
+        if leaf.basis is not None:
+            raise ValueError("only a leaf of the tree has a final state")
+        with self._lock:
+            if leaf.final is None:
+                leaf.final = core.evolve(leaf.state, self.h, self.t_max - leaf.t0)
+            return leaf.final
+
+
 def run_trajectory(
     initial: core.StateVector,
     h: core.PauliTermSum,
@@ -622,56 +778,18 @@ def run_trajectory(
 ) -> tuple[entanglement.EntanglementTrace, list[CollapseEvent]]:
     """Evolve, checking the threshold on a fixed grid; collapse on crossings.
 
-    Runs the sampling loop shared with :func:`entanglement.compute_trace`
-    over ``ceil(t_max / check_interval)`` steps of ``policy.check_interval``,
-    with the entangling speed in closed form.  On a crossing the collapse
-    basis comes from :func:`determine_basis` (a flat scan skips the event),
-    the state is decomposed, an outcome is Born-sampled, energies are
-    audited, and the product branch replaces the state.  Runs are deterministic given the
-    seed and step sizes.  Event times are grid times; no sub-step root
-    polishing is attempted.
+    One walk of a fresh :class:`HistoryTree`, which holds the rules: the
+    sampling loop over ``ceil(t_max / check_interval)`` steps of
+    ``policy.check_interval``; on a crossing the basis of
+    :func:`determine_basis` (a flat scan skips the event), the
+    decomposition, one Born draw, the energy audit, and the product branch
+    as the state from there on.  Runs are deterministic given the seed and
+    step sizes.  Trials that share a start state and settings walk one
+    tree instead, so their shared prefixes are computed once.
     """
-    # imported here: energy builds on the decomposition types above
-    from . import energy as energy_mod
-
-    _check_basis_method(basis_method)
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
-    scan_settings = scan_settings or ScanSettings()
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    events: list[CollapseEvent] = []
-
-    def collapse_on_crossing(t, state, epsilon_dot):
-        if not check_threshold(epsilon_dot, policy):
-            return state
-        basis, _, _ = determine_basis(state, h, basis_method, scan_settings)
-        if basis is None:
-            logger.warning("flat basis landscape; collapse event skipped")
-            return state
-        decomp = decompose(state, basis)
-        e_before = energy_mod.energy_before(state, h)
-        e_after = energy_mod.energy_after_ensemble(decomp, h)
-        sample = sample_outcome(decomp, rng)
-        e_actual = energy_mod.energy_before(sample.state, h)
-        events.append(
-            CollapseEvent(
-                t_c=t,
-                basis=basis,
-                born_weights=tuple(float(p) for p in decomp.born_probabilities()),
-                outcome_index=sample.outcome_index,
-                e_before=e_before,
-                e_after_ensemble=e_after,
-                e_after_actual=e_actual,
-                rng_draw=sample.rng_draw,
-            )
-        )
-        return sample.state
-
-    dt = policy.check_interval
-    steps = int(math.ceil(t_max / dt - 1e-12))
-    trace = entanglement._sample(
-        initial, h, dt, steps, accel_delta, model_tag, collapse_on_crossing
-    )
+    tree = HistoryTree(initial, h, policy, t_max, basis_method, scan_settings,
+                       accel_delta, model_tag)
+    trace, events, _ = tree.walk(seed)
     return trace, events
 
 

@@ -38,14 +38,14 @@ import numpy as np
 SYSTEM_SITE = 0
 
 # Largest register evolved through the cached dense eigendecomposition;
-# larger non-diagonal operators go through the Lanczos propagator.  A
-# 51-sample `compute_trace` (t_max=1, dt=0.02, eigh included, one BLAS
-# thread, 2-vCPU x86_64 VM, medians of 3 in two runs) from the CLI's |+>
-# start takes 22 ms dense against 18-19 ms Lanczos at 8 sites, 73 against
-# 25 ms at 9 and 377 against 33-34 ms at 10; from a random state 22 against
-# 28, 98 against 37 and 411 against 58 ms.  Lanczos is ahead at 9 sites on
-# both; the limit stays at 9 because moving it would move 9-site payloads.
-EIGEN_SITE_LIMIT = 9
+# larger non-diagonal operators go through the Lanczos propagator.  At 8
+# and 9 sites `np.linalg.eigh` returns eigenvectors that differ between one
+# and two OpenBLAS threads inside degenerate eigenspaces, so payloads there
+# moved with the thread count; Lanczos does not.  A 51-sample
+# `compute_trace` (eigh included, one BLAS thread, 2-vCPU x86_64 VM, medians
+# of 5) from |+> takes 11.7 ms dense against 7.8 ms Lanczos at 8 sites and
+# 47.5 against 11.4 ms at 9; at 3-7 sites Lanczos is 1.2-2.7x slower.
+EIGEN_SITE_LIMIT = 7
 
 # Largest register dense() materializes (a 2^12 x 2^12 float64 matrix is
 # 128 MiB).

@@ -248,51 +248,58 @@ def _unit_scale(units: str) -> float:
 
 
 def _sample(
-    initial: core.StateVector,
+    state: core.StateVector,
     h: core.PauliTermSum,
     dt: float,
     steps: int,
     accel_delta: float,
-    model_tag: str,
-    on_sample=None,
-) -> EntanglementTrace:
+    start: int | None = None,
+    stop=None,
+) -> tuple:
     """The one sampling loop behind :func:`compute_trace` and
-    :func:`collapse.run_trajectory`.
+    :class:`collapse.HistoryTree`.
 
-    Samples entropy, speed and acceleration at ``k * dt`` for
-    ``k = 0 .. steps``, all three from one :func:`_entropy_rates` call.
-    One :func:`core.moment_window` serves a window of
-    ``J = floor(4 / (coefficient_scale() * dt))`` samples (at least one)
-    through one :meth:`core.Propagator.moments` query: one product back
-    from the eigenbasis, or one Lanczos basis within its reach.  Each
-    sample's state is renormalized and drift-guarded there; the window's
-    last state starts the next window.  A product state (entropy below
-    ``PRODUCT_ENTROPY``) takes its acceleration from the one-sided stencil
-    (:func:`_acceleration`).  ``on_sample(t, state, epsilon_dot)`` runs
-    once after each sample, in order, and returns the state to continue
-    from, which is how a trajectory substitutes a collapsed branch; a new
-    state ends the window and starts the next.
+    Samples entropy, speed and acceleration at ``k * dt``, all three from
+    one :func:`_entropy_rates` call, for ``k = 0 .. steps`` from ``state``
+    at t = 0, or, given ``start``, for ``k = start + 1 .. steps`` from
+    ``state`` at ``start * dt`` (a segment that resumes where another
+    stopped and replaced its state).  One :func:`core.moment_window` serves
+    a window of ``J = floor(4 / (coefficient_scale() * dt))`` samples (at
+    least one) through one :meth:`core.Propagator.moments` query: one
+    product back from the eigenbasis, or one Lanczos basis within its
+    reach.  Each sample's state is renormalized and drift-guarded there;
+    the window's last state starts the next window.  A product state
+    (entropy below ``PRODUCT_ENTROPY``) takes its acceleration from the
+    one-sided stencil (:func:`_acceleration`).  ``stop(t, state,
+    epsilon_dot)`` runs once after each sample, in order; a result other
+    than None ends the segment there.
+
+    Returns ``(rows, k, state, found)``: the entropy, speed and
+    acceleration arrays of the samples taken, the last sample's index and
+    state, and what ``stop`` returned there (None when the segment ran to
+    ``steps``).
     """
     _check_accel_step(accel_delta)
-    times = np.arange(steps + 1) * dt
-    eps = np.empty(steps + 1)
-    eps_dot = np.empty(steps + 1)
-    eps_ddot = np.empty(steps + 1)
-    state, start, k = initial, 0, 0  # the window's state is at times[start]; k is the next sample
-    while k <= steps:
-        for j, psi, moments in core.moment_window(state, h, dt, k - start, steps - start):
-            k = start + j
+    origin = 0 if start is None else start  # the window's state is at sample origin
+    first = 0 if start is None else start + 1
+    eps, eps_dot, eps_ddot = (np.empty(max(steps + 1 - first, 0)) for _ in range(3))
+    k, found = first, None  # k is the next sample
+    while k <= steps and found is None:
+        for j, psi, moments in core.moment_window(state, h, dt, k - origin, steps - origin):
+            k = origin + j
+            i = k - first
             rates = _entropy_rates(moments)
-            eps[k], eps_dot[k] = rates[:2]
-            eps_ddot[k] = _acceleration(rates, psi, h, accel_delta)
+            eps[i], eps_dot[i] = rates[:2]
+            eps_ddot[i] = _acceleration(rates, psi, h, accel_delta)
             state = psi
-            if on_sample is not None:
-                state = on_sample(float(times[k]), psi, eps_dot[k])
-                if state is not psi:
+            if stop is not None:
+                found = stop(k * dt, psi, eps_dot[i])
+                if found is not None:
                     break
         del moments  # a view of the window's block, before the next window's is made
-        start, k = k, k + 1
-    return EntanglementTrace(times, eps, eps_dot, eps_ddot, model_tag, initial.n_env)
+        origin, k = k, k + 1
+    n = k - first
+    return (eps[:n], eps_dot[:n], eps_ddot[:n]), k - 1, state, found
 
 
 def compute_trace(
@@ -305,13 +312,14 @@ def compute_trace(
 ) -> EntanglementTrace:
     """Sample entropy, speed, and acceleration along a purely unitary run.
 
-    Runs the sampling loop shared with :func:`collapse.run_trajectory` with
-    no per-sample hook, over ``round(t_max / dt)`` steps of ``dt``.
+    Runs the sampling loop shared with :class:`collapse.HistoryTree` with
+    no stop predicate, over ``round(t_max / dt)`` steps of ``dt``.
     """
     if t_max <= 0.0 or dt <= 0.0:
         raise ValueError("t_max and dt must be positive")
     steps = int(round(t_max / dt))
-    return _sample(initial, h, dt, steps, accel_delta, model_tag)
+    rows = _sample(initial, h, dt, steps, accel_delta)[0]
+    return EntanglementTrace(np.arange(steps + 1) * dt, *rows, model_tag, initial.n_env)
 
 
 def first_speed_peak(trace: EntanglementTrace, floor: float = 1e-6) -> tuple[int, float, float]:

@@ -87,6 +87,40 @@ class RevivalReport:
         }
 
 
+def revival_tree(
+    n_env: int,
+    g: float,
+    policy: collapse.ThresholdPolicy,
+    basis_method: str = "auto",
+    scan_settings: collapse.ScanSettings | None = None,
+) -> collapse.HistoryTree:
+    """The trajectories of the uniform-coupling model from |+>^(N+1) to the
+    revival time, as one :class:`collapse.HistoryTree`."""
+    return collapse.HistoryTree(
+        core.StateVector.uniform_plus(n_env + 1),
+        core.degenerate_ising(n_env, g),
+        policy,
+        revival_time(g),
+        basis_method,
+        scan_settings,
+        model_tag="degenerate_ising",
+    )
+
+
+def _tree_for(trees, n_env, g, policy, basis_method, scan_settings) -> collapse.HistoryTree:
+    """The tree of ``n_env`` from ``trees`` (a mapping from sizes to trees
+    built by :func:`revival_tree` with the same settings), or a new one."""
+    tree = (trees or {}).get(n_env)
+    if tree is None:
+        return revival_tree(n_env, g, policy, basis_method, scan_settings)
+    same = (tree.h.num_sites, tree.t_max, tree.policy, tree.basis_method, tree.scan_settings)
+    want = (n_env + 1, revival_time(g), policy, basis_method,
+            scan_settings or collapse.ScanSettings())
+    if same != want:
+        raise ValueError(f"the history tree given for n_env={n_env} has other settings")
+    return tree
+
+
 def revival_protocol(
     n_env: int,
     g: float,
@@ -96,9 +130,14 @@ def revival_protocol(
     basis_method: str = "auto",
     scan_settings: collapse.ScanSettings | None = None,
     sample_outcomes: bool = False,
+    trees: dict | None = None,
 ) -> RevivalReport:
     """Run trajectories to the revival time and read out the system qubit.
 
+    Every trial walks one :class:`collapse.HistoryTree` (``trees[n_env]``
+    when given, see :func:`revival_tree`), so the trials' shared outcome
+    prefixes are evolved and scanned once, and each trial's final state is
+    its leaf's collapsed branch evolved once to the revival time.
     ``p_minus`` defaults to the exact Born probability from the final
     reduced state, averaged over trials; with ``sample_outcomes`` each
     trial instead contributes one Bernoulli click.  Trials use independent
@@ -106,9 +145,7 @@ def revival_protocol(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    t_rev = revival_time(g)
-    h = core.degenerate_ising(n_env, g)
-    initial = core.StateVector.uniform_plus(n_env + 1)
+    tree = _tree_for(trees, n_env, g, policy, basis_method, scan_settings)
     seeds = np.random.SeedSequence(seed).spawn(trials)
     click_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(trials + 1)[-1]))
 
@@ -116,19 +153,9 @@ def revival_protocol(
     p_minus_vals = np.empty(trials)
     event_counts = np.empty(trials)
     for i in range(trials):
-        trial_seed = int(seeds[i].generate_state(1)[0])
-        _, events = collapse.run_trajectory(
-            initial,
-            h,
-            policy,
-            t_max=t_rev,
-            seed=trial_seed,
-            basis_method=basis_method,
-            scan_settings=scan_settings,
-            model_tag="degenerate_ising",
-        )
-        final = _replay_final_state(initial, h, events, t_rev)
-        fidelities[i] = initial.fidelity(final)
+        _, events, leaf = tree.walk(int(seeds[i].generate_state(1)[0]))
+        final = tree.final_state(leaf)
+        fidelities[i] = tree.initial.fidelity(final)
         p = minus_probability(final)
         if sample_outcomes:
             p_minus_vals[i] = 1.0 if click_rng.random() < p else 0.0
@@ -140,30 +167,13 @@ def revival_protocol(
     return RevivalReport(
         n_env=n_env,
         g=g,
-        t_rev=t_rev,
+        t_rev=tree.t_max,
         fidelity_at_revival=float(np.mean(fidelities)),
         p_plus=1.0 - p_minus,
         p_minus=p_minus,
         collapse_events_before_revival=float(np.mean(event_counts)),
         trials=trials,
     )
-
-
-def _replay_final_state(
-    initial: core.StateVector,
-    h: core.PauliTermSum,
-    events: list,
-    t_rev: float,
-) -> core.StateVector:
-    """Final state at t_rev: replay the collapses, then evolve the tail."""
-    state = initial
-    t = 0.0
-    for event in events:
-        state = core.evolve(state, h, event.t_c - t)
-        decomp = collapse.decompose(state, event.basis)
-        state = core.StateVector(decomp.branch_state(event.outcome_index), normalize=True)
-        t = event.t_c
-    return core.evolve(state, h, t_rev - t)
 
 
 @dataclass(frozen=True)
@@ -181,37 +191,29 @@ def critical_n_sweep(
     seed: int = 0,
     basis_method: str = "auto",
     scan_settings: collapse.ScanSettings | None = None,
+    trees: dict | None = None,
 ) -> list[SweepRow]:
     """Event counts and peak speeds across environment sizes.
 
     The first size with any event marks where the configured threshold
     starts to fire; the full table is reported rather than a single
-    crossover because the threshold itself is a free parameter.
+    crossover because the threshold itself is a free parameter.  Each size
+    walks its tree in ``trees`` (see :func:`revival_tree`) or a new one,
+    which repeats of the size share.
     """
     n_values = list(n_values)
-    t_rev = revival_time(g)
+    trees = dict(trees or {})
     rows = []
     seeds = np.random.SeedSequence(seed).spawn(len(n_values))
     for i, n in enumerate(n_values):
-        h = core.degenerate_ising(n, g)
-        initial = core.StateVector.uniform_plus(n + 1)
-        trace, events = collapse.run_trajectory(
-            initial,
-            h,
-            policy,
-            t_max=t_rev,
-            seed=int(seeds[i].generate_state(1)[0]),
-            basis_method=basis_method,
-            scan_settings=scan_settings,
-            model_tag="degenerate_ising",
-        )
-        final = _replay_final_state(initial, h, events, t_rev)
+        tree = trees[n] = _tree_for(trees, n, g, policy, basis_method, scan_settings)
+        trace, events, leaf = tree.walk(int(seeds[i].generate_state(1)[0]))
         rows.append(
             SweepRow(
                 n_env=n,
                 max_epsilon_dot=entanglement.max_speed(trace),
                 events=len(events),
-                p_minus=minus_probability(final),
+                p_minus=minus_probability(tree.final_state(leaf)),
             )
         )
     return rows

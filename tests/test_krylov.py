@@ -355,21 +355,26 @@ def test_entropy_bits_do_not_depend_on_blas_threads():
 
 
 def test_trace_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # holds at 10 and 13 sites; at 16 sites OpenBLAS splits the Lanczos
-    # projections and the norm guards across threads and the digits move
-    # (the entropy itself does not: see the test above).
-    # Nothing here runs at 9 sites or fewer: there `np.linalg.eigh` returns
-    # eigenvectors that differ between thread counts inside degenerate
-    # eigenspaces, so 8- and 9-site payloads move too
+    # holds at 8, 9, 10 and 13 sites; at 16 sites OpenBLAS splits the
+    # Lanczos projections and the norm guards across threads and the digits
+    # move (the entropy itself does not: see the test above).  8 and 9
+    # sites run on the Lanczos path since EIGEN_SITE_LIMIT went to 7: on the
+    # dense path `np.linalg.eigh` returned eigenvectors that differ between
+    # thread counts inside degenerate eigenspaces there.  The dense path at
+    # 7 sites or fewer gave the same bytes at 1 and 2 threads on this
+    # OpenBLAS build, which does not thread eigh calls that small
     pythonpath = _pythonpath()
     commands = (
-        ["trace", "--set", "n_list=9,12", "--set", "t_max=0.1"],
+        ["trace", "--set", "n_list=7,8,9,12", "--set", "t_max=0.1"],
         # collapse events: the closed-form speed decides each crossing
         ["trajectory", "--set", "n=9", "--set", "threshold=0.5",
          "--set", "basis_method=collapse_operator", "--set", "t_max=0.2"],
         # a basis scan: its tensors and coefficients are fixed-order sums
         ["trajectory", "--set", "n=9", "--set", "basis_method=scan",
          "--set", "threshold=0.5", "--set", "t_max=0.1"],
+        # a 9-site scan trajectory
+        ["trajectory", "--set", "n=8", "--set", "basis_method=scan",
+         "--set", "threshold=0.5", "--set", "t_max=0.3", "--seed", "5"],
     )
     payloads = []
     for threads in ("1", "2"):
@@ -384,12 +389,14 @@ def test_trace_bytes_do_not_depend_on_blas_threads(tmp_path):
             f"{p.parent.name}/{p.name}": p.read_bytes() for p in sorted(out.glob("*/*"))
         })
     assert sorted(payloads[0]) == [
-        "0/trace_n12.csv", "0/trace_n9.csv", "0/trace_summary.csv",
+        "0/trace_n12.csv", "0/trace_n7.csv", "0/trace_n8.csv", "0/trace_n9.csv",
+        "0/trace_summary.csv",
         "1/trajectory_events.jsonl", "1/trajectory_trace.csv",
         "2/trajectory_events.jsonl", "2/trajectory_trace.csv",
+        "3/trajectory_events.jsonl", "3/trajectory_trace.csv",
     ]
-    assert payloads[0]["1/trajectory_events.jsonl"]
-    assert payloads[0]["2/trajectory_events.jsonl"]
+    for k in (1, 2, 3):
+        assert payloads[0][f"{k}/trajectory_events.jsonl"]
     assert payloads[0] == payloads[1]
 
 

@@ -20,6 +20,7 @@ from propagation_oracles import evolve_block, evolve_on_path, sample_per_call
 from qcollapse import collapse, core, entanglement
 from test_dense_path import random_state, tilted_product
 from test_krylov import STENCIL_OFFSETS, count_lanczos_queries
+from trajectory_oracles import hook_trajectory, sample_with_hook
 
 FD, DELTA = 1e-4, entanglement.DEFAULT_ACCEL_STEP
 
@@ -61,7 +62,7 @@ def test_trace_matches_per_call_route(h, t_max):
     assert_traces_close(trace, want)
 
 
-def test_trajectory_matches_per_call_route(monkeypatch):
+def test_trajectory_matches_per_call_route():
     # within the stencils' errors, not bit for bit: every crossing replaces
     # the state, so the next step comes from a fresh propagator at the
     # collapsed branch; the events agree in time, outcome and draw, and in
@@ -69,13 +70,10 @@ def test_trajectory_matches_per_call_route(monkeypatch):
     h = core.transverse_coupled(9)
     initial = near_pole_product(10)
     policy = collapse.ThresholdPolicy(0.5, 0.02)
-
-    def run():
-        return collapse.run_trajectory(initial, h, policy, t_max=0.4, seed=12345)
-
-    trace, events = run()
-    monkeypatch.setattr(entanglement, "_sample", sample_per_call)
-    want_trace, want_events = run()
+    trace, events = collapse.run_trajectory(initial, h, policy, t_max=0.4, seed=12345)
+    want_trace, want_events = hook_trajectory(
+        initial, h, policy, t_max=0.4, seed=12345, sample=sample_per_call
+    )
     assert len(events) >= 1 and len(events) == len(want_events)
     assert_traces_close(trace, want_trace)
     for got, want in zip(events, want_events):
@@ -176,32 +174,45 @@ def test_steps_beyond_the_lanczos_reach_are_substepped(rng, num_sites, dt):
 @pytest.mark.parametrize("num_sites", [7, 10])
 def test_hook_replacing_the_state_sees_every_grid_time_once(num_sites):
     # the dense path takes 15 samples per window at 7 sites, the Lanczos
-    # path 10 at 10 sites: replace the state in the middle of the first
-    # window and at the last sample of the window that follows
+    # path 10 at 10 sites: stop in the middle of the first window and at
+    # the last sample of the window that follows, and resume each time from
+    # a replaced state, as a history tree's child does
     h = core.transverse_coupled(num_sites - 1)
     window = math.floor(core._KRYLOV_MAX_REACH / (h.coefficient_scale() * 0.02))
     assert window == {7: 15, 10: 10}[num_sites]
     replace_at = {4, 4 + window}
     fresh = near_pole_product(num_sites)
+    steps = 3 * window
+    seen = []
 
-    def run(sample):
-        seen = []
+    def stop(t, state, epsilon_dot):
+        k = int(round(t / 0.02))
+        seen.append((k, t, epsilon_dot))
+        return k if k in replace_at else None
 
-        def hook(t, state, epsilon_dot):
-            k = int(round(t / 0.02))
-            seen.append((k, t, epsilon_dot))
-            return fresh if k in replace_at else state
-
-        steps = 3 * window
-        trace = sample(fresh, h, 0.02, steps, DELTA, "custom", hook)
-        return trace, seen
-
-    trace, seen = run(entanglement._sample)
-    assert [k for k, _, _ in seen] == list(range(3 * window + 1))
+    columns, start = [[], [], []], None
+    while True:
+        rows, k, _, found = entanglement._sample(fresh, h, 0.02, steps, DELTA, start, stop)
+        for col, part in zip(columns, rows):
+            col.extend(part.tolist())
+        if found is None:
+            break
+        assert found == k
+        start = k
+    trace = entanglement.EntanglementTrace(np.arange(steps + 1) * 0.02, *columns)
+    assert [k for k, _, _ in seen] == list(range(steps + 1))
     assert [t for _, t, _ in seen] == trace.times.tolist()
     assert [v for _, _, v in seen] == trace.epsilon_dot.tolist()
-    want, _ = run(sample_per_call)
-    assert_traces_close(trace, want)
+
+    def hook(t, state, epsilon_dot):
+        return fresh if int(round(t / 0.02)) in replace_at else state
+
+    # bit for bit against the hook loop the segments replaced, and within
+    # the stencils' errors against the per-call route
+    want = sample_with_hook(fresh, h, 0.02, steps, DELTA, "custom", hook)
+    for name in ("epsilon", "epsilon_dot", "epsilon_ddot"):
+        assert np.array_equal(getattr(trace, name), getattr(want, name))
+    assert_traces_close(trace, sample_per_call(fresh, h, 0.02, steps, DELTA, "custom", hook))
     # each replacement restarts the clock of the state: the sample after it
     # repeats the first step's values
     for k in replace_at:

@@ -29,9 +29,12 @@ EPS = np.finfo(float).eps
 
 
 def oracle_branch_accelerations(sys_rows, env_rows, h, delta):
+    # the dense path by name, at every size this is called at: on the
+    # automatic path, Lanczos from 8 sites, one fresh basis per column makes
+    # the 9-site grid 14x slower
     block = np.einsum("ma,me->mae", sys_rows, env_rows).reshape(sys_rows.shape[0], -1).T
-    b1 = evolve_block(block, h, delta, "auto")
-    b2 = evolve_block(b1, h, delta, "auto")
+    b1 = evolve_block(block, h, delta, "dense")
+    b2 = evolve_block(b1, h, delta, "dense")
     s1 = block_entropies(b1)
     s2 = block_entropies(b2)
     return (s2 - 2.0 * s1) / delta**2
