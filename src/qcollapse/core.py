@@ -9,9 +9,10 @@ Conventions used throughout the package:
 * couplings and times are dimensionless (hbar = 1).
 
 Every Pauli string acts as a signed permutation of the computational basis.
-Each operator builds its apply plan (gather index and signed factor per term)
-once, on first use, and the apply, :meth:`PauliTermSum.dense` and
-:meth:`PauliTermSum.diagonal` all read it.
+Each operator builds its apply plan once, on first use: one entry per
+distinct flip mask, a strided view reversed on the flipped sites and the
+summed signed factor of the strings with that mask.  The apply,
+:meth:`PauliTermSum.dense` and :meth:`PauliTermSum.diagonal` all read it.
 
 All time evolution goes through :class:`Propagator`, over one state or the
 columns of a block; :func:`evolve` and :func:`evolve_times` are one query on
@@ -61,6 +62,11 @@ _NORM_ATOL = 1e-8
 _KRYLOV_MAX_VECTORS = 40
 _KRYLOV_TOL = 1e-15
 _KRYLOV_MAX_REACH = 4.0
+# rows a Lanczos basis allocates at a time: a 0.02 step from |+> on 13
+# sites takes 12 vectors, 1.5 MB.  Room for all 40 at once would put a
+# 13-site basis past numpy's 4 MiB huge-page threshold, whose 2 MB pages
+# raised peak RSS by about 1 MB where 13 rows were written
+_KRYLOV_CHUNK = 12
 
 SYSTEM_ONLY = "system"
 ENV_ONLY = "environment"
@@ -303,19 +309,20 @@ class PauliTermSum:
             raise ValueError("operator has off-diagonal terms")
         if self._diag is None:
             diag = np.zeros(self.dim)
-            for _, factor in self._apply_plan():
-                diag += factor
+            for _, _, _, factor in self._apply_plan():  # at most the flip-0 entry
+                diag += np.reshape(factor, -1)
             self._diag = diag
         return self._diag
 
     def dense(self) -> np.ndarray:
         """Materialize the full matrix (small registers only).
 
-        Row ``r`` holds each term's signed factor in column ``gather[r]`` of
-        the apply plan (:meth:`_apply_plan`), so the build is O(terms * dim)
-        scatter-adds, not Kronecker products.  The matrix is float64 when
-        every string has an even number of Y (both named models) and complex
-        otherwise.  Each call builds a fresh matrix; nothing keeps it.
+        Row ``r`` holds each entry's factor of the apply plan
+        (:meth:`_apply_plan`) in column ``r ^ flip``, so the build is one
+        scatter-add per flip mask, not Kronecker products.  The matrix is
+        float64 when every string has an even number of Y (both named
+        models) and complex otherwise.  Each call builds a fresh matrix;
+        nothing keeps it.
         """
         if self.num_sites > DENSE_SITE_LIMIT:
             raise ValueError(
@@ -324,49 +331,52 @@ class PauliTermSum:
         cols, _ = _sign_table(self.num_sites)
         real = all(t.string.count("Y") % 2 == 0 for t in self.terms)
         h = np.zeros((self.dim, self.dim), dtype=float if real else complex)
-        for gather, factor in self._apply_plan():
-            h[cols, cols if gather is None else gather] += factor
+        for flip, _, _, factor in self._apply_plan():
+            h[cols, cols ^ flip] += np.reshape(factor, -1)
         return h
 
     def _apply_plan(self) -> tuple:
-        """Cached ``(gather, factor)`` per nonzero term, in term order.
+        """Cached ``(flip, shape, reverse, factor)`` per distinct flip mask.
 
         A Pauli string is a signed permutation of the computational basis:
         row ``r`` of ``H v`` gains ``c * i^#Y * (-1)^popcount(g & yz) * v[g]``
         with ``g = r ^ flip``, where ``flip`` marks the X/Y sites and ``yz``
-        the Y/Z sites.  ``gather`` is the index array ``g`` (``None`` for a
-        string with no X/Y; strings with the same flip mask share one array)
-        and ``factor`` the signed coefficient per row (the scalar
-        ``c * i^#Y`` for a string with no Y/Z).  A factor is float64 when the
-        string has an even number of Y and complex otherwise.
+        the Y/Z sites.  Strings with the same flip mask read the same
+        ``v[r ^ flip]``, so the plan keeps one entry per mask, in the order
+        of the mask's first nonzero term: ``v.reshape(shape)[reverse]`` is
+        a strided view that reads ``v[r ^ flip]`` at ``r``
+        (:func:`_flip_view`), and ``factor`` is the sum, in term order, of
+        the group's signed factors per row, shaped ``shape``, or the scalar
+        ``c * i^#Y`` sum when no string in the group has a Y or Z.  A factor
+        is float64 when every string in the group has an even number of Y
+        and complex otherwise.
 
-        The plan holds about one ``dim``-length int64 or float64 array per
-        term: 0.16 MB for ``transverse_coupled`` at 10 sites, 1.6 MB at 13
-        and 16 MB at 16.  It is built on first use and kept for the
-        operator's lifetime.
+        The plan holds no index array, only one ``dim``-length factor per
+        mask with a Y or Z: for ``transverse_coupled`` the all-Z diagonal
+        (64 KB at 13 sites, 0.5 MB at 16) and n scalars.  It is built on
+        first use and kept for the operator's lifetime.
         """
         if self._plan is None:
-            cols, signs = _sign_table(self.num_sites)
-            gathers = {}
-            plan = []
+            n = self.num_sites
+            cols, signs = _sign_table(n)
+            groups = {}  # flip mask -> summed factor, in order of first appearance
             for t in self.terms:
                 if t.coefficient == 0.0:
                     continue
                 flip, yz = _string_masks(t.string)
                 n_y = t.string.count("Y")
                 phase = (-1.0) ** (n_y // 2) * (1j if n_y % 2 else 1.0)
-                coeff = t.coefficient * phase
-                gather = None
-                if flip:
-                    if flip not in gathers:
-                        gathers[flip] = cols ^ flip
-                        gathers[flip].flags.writeable = False
-                    gather = gathers[flip]
-                factor = coeff
+                factor = t.coefficient * phase
                 if yz:
-                    factor = coeff * signs[(cols if gather is None else gather) & yz]
+                    factor = factor * signs[(cols ^ flip) & yz]
+                groups[flip] = groups[flip] + factor if flip in groups else factor
+            plan = []
+            for flip, factor in groups.items():
+                shape, reverse = _flip_view(flip, n)
+                if np.ndim(factor):
+                    factor = factor.reshape(shape)
                     factor.flags.writeable = False
-                plan.append((gather, factor))
+                plan.append((flip, shape, reverse, factor))
             self._plan = tuple(plan)
         return self._plan
 
@@ -381,6 +391,25 @@ class PauliTermSum:
             evals, evecs = np.linalg.eigh(self.dense())
             self._eig = (evals, evecs)
         return self._eig
+
+
+def _flip_view(flip: int, num_sites: int) -> tuple[tuple, tuple]:
+    """The shape that merges each run of neighbouring sites alike in
+    ``flip`` into one axis, and the index that reverses its flipped axes.
+
+    Reversing an axis of ``2^r`` entries flips all r bits of its run, so
+    ``v.reshape(shape)[reverse]`` reads ``v[r ^ flip]`` at ``r`` with at
+    most one reversed axis per run of flipped sites.
+    """
+    shape, reverse = [], []
+    for k in range(num_sites):
+        flipped = bool(flip >> (num_sites - 1 - k) & 1)
+        if reverse and (reverse[-1].step == -1) == flipped:
+            shape[-1] *= 2
+        else:
+            shape.append(2)
+            reverse.append(slice(None, None, -1 if flipped else None))
+    return tuple(shape), tuple(reverse)
 
 
 def _string_masks(string: str) -> tuple[int, int]:
@@ -411,21 +440,31 @@ def _sign_table(num_sites: int) -> tuple[np.ndarray, np.ndarray]:
 def _apply_terms(op: PauliTermSum, amps: np.ndarray) -> np.ndarray:
     """H applied to a vector or to the columns of a (dim, m) block.
 
-    Term by term, in the order of the operator's apply plan
-    (:meth:`PauliTermSum._apply_plan`), ``out += factor * amps[gather]``:
-    one gather into a scratch array (skipped for strings with no X/Y), one
-    multiply into it and one add.  These are the products and the sums of
-    ``out += (c * i^#Y) * signs[(cols ^ flip) & yz] * amps[cols ^ flip]``,
-    so the bits are those of rebuilding each term's index and signs on
-    every call; the plan only stops paying for that rebuild.
+    One pass per flip mask of the operator's apply plan
+    (:meth:`PauliTermSum._apply_plan`), in its order: on the entry's
+    ``shape`` (a trailing ``(m,)`` for a block), ``out += factor *
+    amps[reverse]``, one multiply into a scratch array and one add, where
+    ``amps[reverse]`` is a strided view reversed on the flipped sites, so
+    no index array is read.  A scalar factor of 1.0 skips its multiply,
+    which is exact.  An operator whose strings have distinct flip masks
+    gets the products and sums of applying its strings one by one, in term
+    order; strings that share a mask have their factors summed first.
     """
-    out = np.zeros_like(amps)
-    tmp = np.empty_like(amps)
-    block = amps.ndim == 2
-    for gather, factor in op._apply_plan():
-        src = amps if gather is None else np.take(amps, gather, axis=0, out=tmp, mode="clip")
-        np.multiply(factor[:, None] if block and np.ndim(factor) else factor, src, out=tmp)
-        out += tmp
+    block = amps.shape[1:]
+    out = np.zeros(amps.shape, dtype=amps.dtype)  # C order: each reshape is a view
+    tmp = np.empty_like(out)
+    for _, shape, reverse, factor in op._apply_plan():
+        flipped = amps.reshape(shape + block)[reverse]
+        acc = out.reshape(shape + block)
+        if not isinstance(factor, np.ndarray):
+            if factor == 1.0:
+                acc += flipped
+                continue
+        elif block:
+            factor = factor[..., None]
+        scratch = tmp.reshape(shape + block)
+        np.multiply(factor, flipped, out=scratch)
+        acc += scratch
     return out
 
 
@@ -465,8 +504,10 @@ class _LanczosBasis:
     keeps it above the roundoff of the small exponential whatever the
     operator's scale.  A query's answer, one (dim, m) x (m, k) product,
     therefore does not depend on what was asked before it, while every
-    apply is paid once.  The vectors are the rows of one array that grows
-    by a row per apply, in place.
+    apply is paid once.  The vectors are the leading rows of one array
+    with room for ``_KRYLOV_CHUNK`` more at a time: a vector past the room
+    moves the rows, by a copy, into a new array with that many spare rows
+    (at most ``_KRYLOV_MAX_VECTORS`` in all).
     """
 
     __slots__ = ("h", "dim", "scale", "vectors", "tri", "betas", "spectra", "_residual")
@@ -478,7 +519,7 @@ class _LanczosBasis:
         self.betas = []  # beta_m, the norm of the residual after m applies
         self.spectra = []  # eigh(T_m)
         if self.scale != 0.0:
-            self.vectors = np.empty((1, amps.size), dtype=complex)
+            self.vectors = np.empty((_KRYLOV_CHUNK, amps.size), dtype=complex)
             self.vectors[0] = amps / self.scale
             self.tri = np.zeros((_KRYLOV_MAX_VECTORS, _KRYLOV_MAX_VECTORS))
 
@@ -487,9 +528,13 @@ class _LanczosBasis:
         m = len(self.betas) + 1
         if m > 1:
             beta = self.betas[-1]
-            # in place: realloc remaps a large basis instead of copying it
-            # (and numpy refuses while any view of the rows is alive)
-            self.vectors.resize((m, self.dim))
+            if m > len(self.vectors):
+                # a copy, not ndarray.resize: that refuses while anything
+                # else, a tracer's frame included, refers to the array
+                rows = min(m - 1 + _KRYLOV_CHUNK, _KRYLOV_MAX_VECTORS)
+                grown = np.empty((rows, self.dim), dtype=complex)
+                grown[:m - 1] = self.vectors[:m - 1]
+                self.vectors = grown
             self.vectors[m - 1] = self._residual / beta
             self.tri[m - 1, m - 2] = self.tri[m - 2, m - 1] = beta
         basis = self.vectors[:m]
@@ -760,20 +805,24 @@ class Propagator:
 
 
 def moment_window(psi: StateVector, h: PauliTermSum, dt: float, first: int, last: int):
-    """Yields ``(j, state, moments)`` for the offsets ``j * dt``, ``j =
-    first, first + 1, ...``, from one :meth:`Propagator.moments` query at
-    ``psi``: ``moments`` is the offset's row (a view of the window's block)
-    and ``state`` its first vector, renormalized and drift-guarded.  The
-    window stops at ``last`` or at the Lanczos reach, ``coefficient_scale()
-    * j * dt <= 4``, on every path, but takes at least one step.
+    """Yields ``(j, state, moments, window)`` for the offsets ``j * dt``, ``j
+    = first, first + 1, ...``, from one :meth:`Propagator.moments` query on
+    ``window``, the :class:`Propagator` at ``psi``: ``moments`` is the
+    offset's row (a view of the window's block) and ``state`` its first
+    vector, renormalized and drift-guarded.  Further queries on ``window``
+    at offsets near ``j * dt`` reuse what the window has computed (on the
+    Lanczos path, its basis).  The window stops at ``last`` or at the
+    Lanczos reach, ``coefficient_scale() * j * dt <= 4``, on every path,
+    but takes at least one step.
     """
     reach = h.coefficient_scale() * dt
     if reach > 0.0:
         last = min(last, max(1, math.floor(_KRYLOV_MAX_REACH / reach)))
     offsets = np.arange(first, last + 1)
-    block = Propagator(psi, h).moments(offsets * dt)
+    window = Propagator(psi, h)
+    block = window.moments(offsets * dt)
     for j, moments in zip(offsets.tolist(), block):
-        yield j, StateVector(_unit_columns(moments[0])), moments
+        yield j, StateVector(_unit_columns(moments[0])), moments, window
 
 
 def partial_trace_system(psi: StateVector, split: BipartiteSplit | None = None) -> DensityMatrix:

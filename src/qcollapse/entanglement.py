@@ -153,20 +153,23 @@ def _entropy_rates(moments: np.ndarray) -> tuple[float, float, float]:
     return _entropy_of_det(d), d1 * weight, d2 * weight + d1 * d1 * curvature
 
 
-def _one_sided(psi: core.StateVector, h: core.PauliTermSum, delta: float) -> float:
-    """(eps(2 delta) - 2 eps(delta)) / delta^2 at a product state, where the
-    entropy and its speed vanish and S'' is infinite."""
-    e1, e2 = (state_entropy(col) for col in core.evolve_times(psi, h, [delta, 2.0 * delta]).T)
+def _one_sided(window: core.Propagator, t: float, delta: float) -> float:
+    """(eps(t + 2 delta) - 2 eps(t + delta)) / delta^2, the entropies of the
+    ``window`` propagator's state evolved to those offsets, where the state
+    at offset t is a product state: there the entropy and its speed vanish
+    and S'' is infinite."""
+    offsets = [t + delta, t + 2.0 * delta]
+    e1, e2 = (state_entropy(col) for col in window.evolve_times(offsets).T)
     return (e2 - 2.0 * e1) / delta**2
 
 
-def _acceleration(rates: tuple, psi: core.StateVector, h: core.PauliTermSum,
-                  delta: float) -> float:
-    """S'' from the ``rates`` of :func:`_entropy_rates` at ``psi``, or, where
-    their entropy is below ``PRODUCT_ENTROPY`` (a product state, where S''
-    is +inf), the one-sided stencil over ``delta``."""
+def _acceleration(rates: tuple, window: core.Propagator, t: float, delta: float) -> float:
+    """S'' from the ``rates`` of :func:`_entropy_rates` at offset ``t`` of
+    the ``window`` propagator, or, where their entropy is below
+    ``PRODUCT_ENTROPY`` (a product state, where S'' is +inf), the
+    one-sided stencil over ``delta`` from the same propagator."""
     entropy, _, curvature = rates
-    return _one_sided(psi, h, delta) if entropy < PRODUCT_ENTROPY else curvature
+    return _one_sided(window, t, delta) if entropy < PRODUCT_ENTROPY else curvature
 
 
 def entangling_speed(psi: core.StateVector, h: core.PauliTermSum) -> float:
@@ -194,11 +197,12 @@ def entangling_acceleration(
     Where the entropy is below ``PRODUCT_ENTROPY`` (a product state, where
     the true value is +inf) it is the one-sided stencil
     ``(eps(2 delta) - 2 eps(delta)) / delta^2`` instead, from exact short
-    evolutions; ``delta`` must be at least ``MIN_ACCEL_STEP``.
+    evolutions on the propagator that gave the moments (the same bits as a
+    fresh one); ``delta`` must be at least ``MIN_ACCEL_STEP``.
     """
     _check_accel_step(delta)
-    rates = _entropy_rates(core.Propagator(psi, h).moments([0.0])[0])
-    return _acceleration(rates, psi, h, delta)
+    window = core.Propagator(psi, h)
+    return _acceleration(_entropy_rates(window.moments([0.0])[0]), window, 0.0, delta)
 
 
 @dataclass
@@ -270,7 +274,10 @@ def _sample(
     reach.  Each sample's state is renormalized and drift-guarded there;
     the window's last state starts the next window.  A product state
     (entropy below ``PRODUCT_ENTROPY``) takes its acceleration from the
-    one-sided stencil (:func:`_acceleration`).  ``stop(t, state,
+    one-sided stencil (:func:`_acceleration`), evolved by the window's own
+    propagator to the offsets ``j * dt + delta`` and ``j * dt + 2 delta``
+    from the window's state: on the Lanczos path its basis already spans
+    them, and an offset past the reach is substepped.  ``stop(t, state,
     epsilon_dot)`` runs once after each sample, in order; a result other
     than None ends the segment there.
 
@@ -285,18 +292,21 @@ def _sample(
     eps, eps_dot, eps_ddot = (np.empty(max(steps + 1 - first, 0)) for _ in range(3))
     k, found = first, None  # k is the next sample
     while k <= steps and found is None:
-        for j, psi, moments in core.moment_window(state, h, dt, k - origin, steps - origin):
+        for j, psi, moments, window in core.moment_window(state, h, dt, k - origin,
+                                                          steps - origin):
             k = origin + j
             i = k - first
             rates = _entropy_rates(moments)
             eps[i], eps_dot[i] = rates[:2]
-            eps_ddot[i] = _acceleration(rates, psi, h, accel_delta)
+            eps_ddot[i] = _acceleration(rates, window, j * dt, accel_delta)
             state = psi
             if stop is not None:
                 found = stop(k * dt, psi, eps_dot[i])
                 if found is not None:
                     break
-        del moments  # a view of the window's block, before the next window's is made
+        # the window's block (moments is a view of it) and basis go before
+        # the next window's are made
+        del moments, window
         origin, k = k, k + 1
     n = k - first
     return (eps[:n], eps_dot[:n], eps_ddot[:n]), k - 1, state, found

@@ -340,3 +340,49 @@ def test_trace_rates_are_the_public_speed_and_acceleration():
         )
     with pytest.raises(TypeError, match="fd_step"):
         entanglement.compute_trace(init, h, t_max=0.1, dt=0.05, fd_step=1e-4)
+
+
+def tilted_product(num_sites, theta_sys=math.pi / 2 + 0.03, theta_env=math.pi / 2 - 0.04):
+    sites = [core.spin_state(theta_sys)] + [core.spin_state(theta_env)] * (num_sites - 1)
+    return core.StateVector.from_site_states(sites)
+
+
+def test_product_stencil_comes_from_the_window_basis(monkeypatch):
+    # a 13-site trace at dt = 0.02 over two steps, from the CLI's default
+    # |+> state: the window's Lanczos basis (12 applies) serves the three
+    # samples and the t = 0 product-state stencil, where a fresh basis at
+    # the sampled state would cost 7 more
+    calls = []
+    apply = core._apply_terms
+
+    def counting(op, amps):
+        calls.append(amps.shape)
+        return apply(op, amps)
+
+    monkeypatch.setattr(core, "_apply_terms", counting)
+    h = core.transverse_coupled(12)
+    trace = entanglement.compute_trace(core.StateVector.uniform_plus(13), h, t_max=0.04, dt=0.02)
+    assert trace.epsilon[0] < entanglement.PRODUCT_ENTROPY
+    assert len(calls) <= 12
+    # from a tilted product state too, the stencil costs no apply beyond
+    # the window's moments query
+    psi = tilted_product(13)
+    calls.clear()
+    core.Propagator(psi, h).moments([0.0, 0.02, 0.04])
+    window = len(calls)
+    calls.clear()
+    trace = entanglement.compute_trace(psi, h, t_max=0.04, dt=0.02)
+    assert trace.epsilon[0] < entanglement.PRODUCT_ENTROPY
+    assert len(calls) == window
+
+
+@pytest.mark.parametrize("num_sites", [3, 5, 10, 13])
+def test_trace_product_stencil_matches_the_fresh_stencil(num_sites):
+    # at t = 0 the window's state is the sampled state, so the window's
+    # stencil at delta and 2 delta is the fresh propagator's, bit for bit;
+    # 3 and 5 sites run the dense path, 10 and 13 the Lanczos one
+    h = core.transverse_coupled(num_sites - 1)
+    psi = tilted_product(num_sites)
+    trace = entanglement.compute_trace(psi, h, t_max=0.02, dt=0.02)
+    assert trace.epsilon[0] < entanglement.PRODUCT_ENTROPY
+    assert trace.epsilon_ddot[0] == stencil_acceleration(psi, h) > 0.0

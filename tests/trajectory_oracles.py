@@ -33,17 +33,18 @@ def sample_with_hook(initial, h, dt, steps, accel_delta, model_tag, on_sample=No
     eps_ddot = np.empty(steps + 1)
     state, start, k = initial, 0, 0  # the window's state is at times[start]; k is the next sample
     while k <= steps:
-        for j, psi, moments in core.moment_window(state, h, dt, k - start, steps - start):
+        for j, psi, moments, window in core.moment_window(state, h, dt, k - start,
+                                                          steps - start):
             k = start + j
             rates = entanglement._entropy_rates(moments)
             eps[k], eps_dot[k] = rates[:2]
-            eps_ddot[k] = entanglement._acceleration(rates, psi, h, accel_delta)
+            eps_ddot[k] = entanglement._acceleration(rates, window, j * dt, accel_delta)
             state = psi
             if on_sample is not None:
                 state = on_sample(float(times[k]), psi, eps_dot[k])
                 if state is not psi:
                     break
-        del moments
+        del moments, window
         start, k = k, k + 1
     return entanglement.EntanglementTrace(times, eps, eps_dot, eps_ddot, model_tag, initial.n_env)
 
