@@ -12,6 +12,7 @@ two angles (theta, phi).  Two independent routes produce a collapse basis:
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -28,6 +29,11 @@ ZERO_WEIGHT_TOL = 1e-12
 FLAT_LANDSCAPE_TOL = 1e-9
 TIE_TOL = 1e-9
 DEGENERACY_RTOL = 1e-10
+# the scan's Newton refine: at most this many objective evaluations, and no
+# step whose first-order change of the objective is below this, relative
+# to max(1, |f|), is tried (the objective's roundoff could not confirm it)
+NEWTON_MAX_EVALS = 40
+NEWTON_DECREASE_TOL = 1e-12
 
 EVENT_FIELDS = (
     "t_c",
@@ -331,6 +337,191 @@ def _scan_point(coeffs: np.ndarray, theta: float, phi: float, delta: float) -> f
     return total
 
 
+@functools.cache
+def _theta_derivatives() -> np.ndarray:
+    """``(I, D, D^2)`` side by side, (15, 45), where ``dV/dtheta = V D`` for
+    :func:`_monomials`' ``V``: the theta-derivative of ``m(d, e) =
+    cos^(d-e) sin^e`` of theta/2 is ``(e m(d, e-1) - (d-e) m(d, e+1)) / 2``,
+    of the same degree."""
+    out = np.zeros((15, 15))
+    for d in (2, 4, 6):
+        base = d * d // 4 - 1
+        for e in range(d + 1):
+            if e > 0:
+                out[base + e - 1, base + e] = e / 2.0
+            if e < d:
+                out[base + e + 1, base + e] = -(d - e) / 2.0
+    out = np.hstack([np.eye(15), out, out @ out])
+    out.flags.writeable = False  # every caller shares the cached array
+    return out
+
+
+# a jet is (f, f_t, f_p, f_tt, f_tp, f_pp): a value and its partial
+# derivatives up to second order in (theta, phi)
+
+
+def _jet_product(x: tuple, y: tuple) -> tuple:
+    """Jet of ``x * y``."""
+    x0, x1, x2, x11, x12, x22 = x
+    y0, y1, y2, y11, y12, y22 = y
+    return (
+        x0 * y0,
+        x1 * y0 + x0 * y1,
+        x2 * y0 + x0 * y2,
+        x11 * y0 + 2.0 * x1 * y1 + x0 * y11,
+        x12 * y0 + x1 * y2 + x2 * y1 + x0 * y12,
+        x22 * y0 + 2.0 * x2 * y2 + x0 * y22,
+    )
+
+
+def _jet_chain(x: tuple, value, slope, curvature) -> tuple:
+    """Jet of ``g(x)`` from g's value, first and second derivative at x's
+    value."""
+    _, x1, x2, x11, x12, x22 = x
+    return (
+        value,
+        slope * x1,
+        slope * x2,
+        curvature * x1 * x1 + slope * x11,
+        curvature * x1 * x2 + slope * x12,
+        curvature * x2 * x2 + slope * x22,
+    )
+
+
+def _entropy_slopes(d: float) -> tuple[float, float, float]:
+    """:func:`entanglement._entropy_of_det` at ``d`` and its first two
+    derivatives in d, of the function as implemented: 0 where d is clipped
+    to [0, 1/4] or the entropy to 0, and below ``EIG_CUTOFF`` the
+    derivatives of ``-(1 - lam) ln(1 - lam)`` alone, so that a product
+    branch (lam = 0) has slope 1, not ``ln((1 - lam) / lam) = inf``."""
+    s = entanglement._entropy_of_det(d)
+    if not (0.0 < d < 0.25 and s > 0.0):
+        return s, 0.0, 0.0
+    root = math.sqrt(1.0 - 4.0 * d)
+    lam = 2.0 * d / (1.0 + root)  # dlam/dd = 1 / root, d2lam/dd2 = 2 / root**3
+    if lam > entanglement.EIG_CUTOFF:
+        slope, curve = math.log1p(-lam) - math.log(lam), -1.0 / lam - 1.0 / (1.0 - lam)
+    else:
+        slope, curve = math.log1p(-lam) + 1.0, -1.0 / (1.0 - lam)
+    return s, slope / root, (curve + 2.0 * slope / root) / root**2
+
+
+def _scan_derivatives(coeffs: np.ndarray, theta: float, phi: float, delta: float) -> tuple:
+    """:func:`_scan_point` with its partial derivatives up to second order
+    in (theta, phi), as a jet ``(f, f_t, f_p, f_tt, f_tp, f_pp)``.
+
+    ``V(theta) K W(phi)`` has closed-form partials in the same bases:
+    ``dV/dtheta = V D`` (:func:`_theta_derivatives`) and ``dW/dphi = i m W``.
+    They are chained through ``r = R / c^2``, ``o = O / c^2``, the
+    determinant ``d = (1 - r) r - |o|^2`` and the entropy
+    (:func:`_entropy_slopes`: ``dS/dd = ln((1 - lam) / lam) / sqrt(1 - 4 d)``
+    above the cutoff); a branch below ``ZERO_WEIGHT_TOL`` contributes
+    nothing, as in the value.
+    """
+    half = theta / 2.0
+    v = (_monomials(math.cos(half), math.sin(half)) @ _theta_derivatives()).reshape(3, 15)
+    m = np.arange(-3, 4)[:, None]
+    w = _harmonics(complex(math.cos(phi), math.sin(phi)))[:, None] * (1j * m) ** np.arange(3)
+    blocks = (v @ coeffs) @ w
+    total = (0.0,) * 6
+    for branch in blocks.tolist():  # (number, theta order, phi order)
+        c2, *numbers = (
+            (b[0][0], b[1][0], b[0][1], b[2][0], b[1][1], b[0][2]) for b in branch
+        )
+        c2 = tuple(x.real for x in c2)
+        if not c2[0] >= ZERO_WEIGHT_TOL**2:
+            continue
+        inverse = _jet_chain(c2, 1.0 / c2[0], -1.0 / c2[0] ** 2, 2.0 / c2[0] ** 3)
+        s = []
+        for gram, overlap in zip(numbers[:2], numbers[2:]):
+            r = _jet_product(tuple(x.real for x in gram), inverse)
+            o = _jet_product(overlap, inverse)
+            d = [a - b - c.real for a, b, c in
+                 zip(r, _jet_product(r, r), _jet_product(tuple(x.conjugate() for x in o), o))]
+            s.append(_jet_chain(d, *_entropy_slopes(d[0])))
+        acc = _jet_product(c2, tuple(b - 2.0 * a for a, b in zip(*s)))
+        total = tuple(t + a / delta**2 for t, a in zip(total, acc))
+    return total
+
+
+def _newton_step(jet: tuple, radius: float) -> tuple[float, float]:
+    """Newton step from a jet of the objective, on its Hessian with the
+    eigenvalues made positive (their magnitudes, floored at 1e-8 of the
+    largest; a zero Hessian gives the gradient step), cut to ``radius``."""
+    _, g1, g2, a, b, c = jet
+    mean, half_gap = (a + c) / 2.0, math.hypot((a - c) / 2.0, b)
+    angle = 0.5 * math.atan2(2.0 * b, a - c)  # the larger eigenvalue's axis
+    cos, sin = math.cos(angle), math.sin(angle)
+    lam1, lam2 = abs(mean + half_gap), abs(mean - half_gap)
+    floor = 1e-8 * max(lam1, lam2) or 1.0
+    along = (cos * g1 + sin * g2) / max(lam1, floor)
+    across = (cos * g2 - sin * g1) / max(lam2, floor)
+    step = (sin * across - cos * along, -sin * along - cos * across)
+    size = math.hypot(*step)
+    return (step[0] * radius / size, step[1] * radius / size) if size > radius else step
+
+
+def _equator_frame(basis: CandidateBasis) -> np.ndarray:
+    """Unitary ``R`` whose columns are the system basis of a frame in which
+    ``basis``'s axis lies on the equator, at theta = pi/2 and phi = 0:
+    ``R A0(pi/2, 0) = A0`` of ``basis``."""
+    a0, a1 = basis.state_pair()
+    return np.stack([a0 + a1, a0 - a1], axis=1) / math.sqrt(2.0)
+
+
+def _rotated_tensors(tensors: tuple, rot: np.ndarray) -> tuple:
+    """:func:`_scan_tensors` of the same state and Hamiltonian read in the
+    system frame whose basis is ``rot``'s columns: a candidate ``a`` there
+    is ``rot @ a`` here.  Each of the indices p, q and s of ``j = (p, q,
+    s)`` gets ``rot`` (p) or its conjugate (q, s), as do rho's and the
+    overlaps' system indices; nothing is evolved again."""
+    rho, grams, crosses = tensors
+    t = np.kron(np.kron(rot.T, rot.conj().T), rot.conj().T)
+    return (
+        np.einsum("pa,pq,qb->ab", rot.conj(), rho, rot),
+        np.einsum("ja,kab,ib->kji", t.conj(), grams, t),
+        np.einsum("ja,kab,bq->kjq", t.conj(), crosses, rot.conj()),
+    )
+
+
+def _newton_refine(
+    tensors: tuple, coarse: CandidateBasis, delta: float, radius: float
+) -> tuple[CandidateBasis | None, int]:
+    """Minimize the landscape of ``tensors`` from the ``coarse`` basis by
+    trust-region Newton steps on :func:`_scan_derivatives`.
+
+    The tensors are rotated (:func:`_rotated_tensors`) so that the coarse
+    axis sits at theta = pi/2, phi = 0, and folded once more; there the
+    (theta, phi) chart is regular within the trust radius (one grid step)
+    even when the coarse cell is a pole.  A step is accepted only if it
+    strictly lowers the objective, and a rejected one is halved.  Returns
+    the refined basis in the original frame, or None when no step was
+    accepted, and the number of objective evaluations.
+    """
+    rot = _equator_frame(coarse)
+    coeffs = _scan_coefficients(_rotated_tensors(tensors, rot))
+    theta, phi = 0.5 * math.pi, 0.0
+    jet = _scan_derivatives(coeffs, theta, phi, delta)
+    evals, moved = 1, False
+    while evals < NEWTON_MAX_EVALS:
+        step = _newton_step(jet, radius)
+        change = abs(jet[1] * step[0] + jet[2] * step[1])
+        if not change > NEWTON_DECREASE_TOL * max(1.0, abs(jet[0])):
+            break
+        trial = _scan_derivatives(coeffs, theta + step[0], phi + step[1], delta)
+        evals += 1
+        if trial[0] < jet[0]:
+            theta, phi, jet, moved = theta + step[0], phi + step[1], trial, True
+        else:
+            radius = math.hypot(*step) / 2.0
+    if not moved:
+        return None, evals
+    a = rot @ CandidateBasis(theta, phi).state_pair()[0]
+    z = a[0].conjugate() * a[1]
+    bloch = [2.0 * z.real, 2.0 * z.imag, abs(a[0]) ** 2 - abs(a[1]) ** 2]
+    return CandidateBasis.from_bloch_vector(bloch), evals
+
+
 @dataclass(frozen=True)
 class ScanSettings:
     n_theta: int = 64
@@ -352,6 +543,8 @@ class ScanReport:
     flat: bool
     coarse_minimum: tuple
     minimum: tuple
+    # objective evaluations of the refine, each a value with its gradient
+    # and Hessian; the benchmark's layer tracer reads the field by this name
     nm_evaluations: int = 0
 
 
@@ -364,20 +557,24 @@ def scan_collapse_basis(
 
     The state's branch tensors (:func:`_scan_tensors`, eight evolved
     columns) are computed once and folded into one coefficient array
-    (:func:`_scan_coefficients`); the grid and every Nelder-Mead evaluation
-    read the landscape from it, so neither evolves anything.  A coarse grid
-    locates the basin.  Grid ties
-    within ``TIE_TOL`` break toward the smallest theta, then the smallest
-    phi, so repeated scans are reproducible.  Nelder-Mead then polishes the
-    minimum in the tangent plane ``n0 + x e1 + y e2`` at the best cell's
-    Bloch axis ``n0``, from a simplex one grid step wide, so a minimum on a
-    pole is as well conditioned as one on the equator.  A landscape whose
-    grid spread is below ``FLAT_LANDSCAPE_TOL`` is flagged flat and returned
-    unrefined.
+    (:func:`_scan_coefficients`); the grid and the refine read the
+    landscape from the tensors, so neither evolves anything.  A coarse grid
+    locates the basin.  Grid ties within ``TIE_TOL`` break toward the
+    smallest theta, then the smallest phi, so repeated scans are
+    reproducible.  Newton steps on the landscape's closed-form derivatives
+    then polish the minimum (:func:`_newton_refine`), in a frame where the
+    best cell lies on the equator, so a minimum on or near a pole is as well
+    conditioned as one on the equator.  The reported minimum is
+    :func:`_scan_point` at the returned basis; the coarse cell is kept when
+    no step lowers the objective.  ``ScanReport.nm_evaluations`` counts the
+    refine's objective evaluations (0 when it does not run).  A landscape
+    whose grid spread is below ``FLAT_LANDSCAPE_TOL`` is flagged flat and
+    returned unrefined.
     """
     settings = settings or ScanSettings()
     delta = settings.accel_delta
-    coeffs = _scan_coefficients(_scan_tensors(psi.amplitudes, h, delta))
+    tensors = _scan_tensors(psi.amplitudes, h, delta)
+    coeffs = _scan_coefficients(tensors)
     thetas = np.linspace(0.0, math.pi, settings.n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, settings.n_phi, endpoint=False)
     values = _scan_grid(coeffs, thetas, phis, delta)
@@ -391,39 +588,14 @@ def scan_collapse_basis(
     coarse = (float(thetas[ti]), float(phis[pi_]), float(values[ti, pi_]))
 
     best_theta, best_phi, best_val = coarse
-    nm_evals = 0
+    evals = 0
     if settings.refine and not flat:
-        # orthonormal frame at the cell: its axis and the theta and phi tangents
-        n0 = CandidateBasis(best_theta, best_phi).bloch_axis()
-        e1 = CandidateBasis(best_theta + 0.5 * math.pi, best_phi).bloch_axis()
-        e2 = np.cross(n0, e1)
-
-        def chart(x):
-            return CandidateBasis.from_bloch_vector(n0 + x[0] * e1 + x[1] * e2)
-
-        def objective(x):
-            b = chart(x)
-            return _scan_point(coeffs, b.theta, b.phi, delta)
-
-        # scipy is imported where it is called, so that commands which never
-        # refine a scan (`trace` among them) start without loading it
-        from scipy import optimize
-
         step = float(thetas[1] - thetas[0])
-        res = optimize.minimize(
-            objective,
-            x0=np.zeros(2),
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-5, "fatol": 1e-14, "maxiter": 200,
-                "initial_simplex": np.array([[0.0, 0.0], [step, 0.0], [0.0, step]]),
-            },
-        )
-        nm_evals = int(res.nfev)
-        if res.fun <= best_val:
-            refined = chart(res.x)
-            best_theta, best_phi = refined.theta, refined.phi
-            best_val = float(res.fun)
+        refined, evals = _newton_refine(tensors, CandidateBasis(best_theta, best_phi), delta, step)
+        if refined is not None:
+            value = _scan_point(coeffs, refined.theta, refined.phi, delta)
+            if value <= best_val:
+                best_theta, best_phi, best_val = refined.theta, refined.phi, value
 
     basis = CandidateBasis(best_theta, best_phi)
     report = ScanReport(
@@ -433,7 +605,7 @@ def scan_collapse_basis(
         flat=flat,
         coarse_minimum=coarse,
         minimum=(best_theta, best_phi, best_val),
-        nm_evaluations=nm_evals,
+        nm_evaluations=evals,
     )
     return basis, report
 

@@ -184,6 +184,8 @@ def _check_accel_step(delta: float) -> None:
         raise ValueError("delta must be positive")
     if delta < MIN_ACCEL_STEP:
         raise ValueError("delta underflows the second-difference stencil")
+    if not math.isfinite(delta * delta):
+        raise ValueError("delta must be finite, with a finite square")
 
 
 def entangling_acceleration(

@@ -271,6 +271,19 @@ def test_accel_delta_below_stencil_floor_exits_2(tmp_path, capsys):
     assert "config error" in err and "accel_delta" in err
 
 
+@pytest.mark.parametrize("command", ["trace", "trajectory"])
+@pytest.mark.parametrize("delta", ["inf", "1e300"])
+def test_accel_delta_whose_square_overflows_exits_2(tmp_path, capsys, command, delta):
+    # 1e300 once escaped as an uncaught OverflowError from delta**2, and inf
+    # failed later as a numerical error (exit 3)
+    code = run_cli(command, "--set", "n_list=2", "--set", "n=2", "--set", "t_max=0.1",
+                   "--set", "basis_method=scan", "--set", f"accel_delta={delta}",
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite square" in err
+
+
 def test_accel_delta_at_stencil_floor_runs(tmp_path):
     out = tmp_path / "o"
     code = run_cli("trace", "--set", "n_list=2", "--set", "t_max=0.1",

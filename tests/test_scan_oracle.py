@@ -2,9 +2,10 @@
 
 ``collapse._scan_coefficients`` folds one set of per-scan tensors (four
 vectors evolved by delta and by 2 delta) into one coefficient array, and
-``collapse._scan_grid`` (the grid) and ``collapse._scan_point`` (Nelder-Mead
-and ``mean_entangling_acceleration``) read every candidate basis from it.
-They are held here to three routes:
+``collapse._scan_grid`` (the grid), ``collapse._scan_point`` (the reported
+minimum and ``mean_entangling_acceleration``) and
+``collapse._scan_derivatives`` (the Newton refine) read every candidate basis
+from it.  They are held here to independent routes:
 
 * the product-branch evaluator, copied in as ``oracle_grid``: each branch
   ``a (x) env`` is evolved by delta twice and its entropies come from
@@ -13,13 +14,18 @@ They are held here to three routes:
   evolved by ``core.evolve`` to delta and to 2 delta, read in the pair
   (a, b), and its small eigenvalue taken from the Gram determinant;
 * the batched-einsum evaluator the polynomial replaced, ``einsum_grid``:
-  the same tensors contracted with the branch vectors of every candidate.
+  the same tensors contracted with the branch vectors of every candidate;
+* central differences of ``collapse._scan_point`` for the closed-form
+  gradient and Hessian;
+* scipy's Nelder-Mead, the refine the Newton iteration replaced, copied in
+  as ``nelder_mead_scan`` with its call and options unchanged.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from propagation_oracles import block_entropies, evolve_block
 from qcollapse import collapse, core, entanglement
@@ -115,6 +121,46 @@ def einsum_grid(amps, h, thetas, phis, delta, tensors=None):
     return acc[: thetas.size] + acc[thetas.size :]
 
 
+def nelder_mead_scan(psi, h, settings=None):
+    """The scan with its former refine: scipy's Nelder-Mead in the tangent
+    plane ``n0 + x e1 + y e2`` at the best cell's Bloch axis ``n0``, from a
+    simplex one grid step wide, mapped back by ``from_bloch_vector``.
+    Returns the basis, the minimum and the number of evaluations."""
+    settings = settings or collapse.ScanSettings()
+    delta = settings.accel_delta
+    coeffs = collapse._scan_coefficients(collapse._scan_tensors(psi.amplitudes, h, delta))
+    thetas = np.linspace(0.0, math.pi, settings.n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, settings.n_phi, endpoint=False)
+    values = collapse._scan_grid(coeffs, thetas, phis, delta)
+    tie = np.argwhere(values <= float(values.min()) + collapse.TIE_TOL)
+    ti, pi_ = min((int(i), int(j)) for i, j in tie)
+    best_theta, best_phi, best_val = float(thetas[ti]), float(phis[pi_]), float(values[ti, pi_])
+    n0 = collapse.CandidateBasis(best_theta, best_phi).bloch_axis()
+    e1 = collapse.CandidateBasis(best_theta + 0.5 * math.pi, best_phi).bloch_axis()
+    e2 = np.cross(n0, e1)
+
+    def chart(x):
+        return collapse.CandidateBasis.from_bloch_vector(n0 + x[0] * e1 + x[1] * e2)
+
+    def objective(x):
+        b = chart(x)
+        return collapse._scan_point(coeffs, b.theta, b.phi, delta)
+
+    step = float(thetas[1] - thetas[0])
+    res = optimize.minimize(
+        objective,
+        x0=np.zeros(2),
+        method="Nelder-Mead",
+        options={
+            "xatol": 1e-5, "fatol": 1e-14, "maxiter": 200,
+            "initial_simplex": np.array([[0.0, 0.0], [step, 0.0], [0.0, step]]),
+        },
+    )
+    if res.fun <= best_val:
+        return chart(res.x), float(res.fun), int(res.nfev)
+    return collapse.CandidateBasis(best_theta, best_phi), best_val, int(res.nfev)
+
+
 def poly_grid(amps, h, thetas, phis, delta=DELTA):
     """The scan's grid evaluator on the grid thetas x phis."""
     coeffs = collapse._scan_coefficients(collapse._scan_tensors(amps, h, delta))
@@ -123,7 +169,7 @@ def poly_grid(amps, h, thetas, phis, delta=DELTA):
 
 def poly_points(amps, h, thetas, phis, delta=DELTA):
     """Both evaluators at the pairs (thetas[k], phis[k]): the grid's
-    diagonal and the single-point evaluation Nelder-Mead calls."""
+    diagonal and the single-point evaluation."""
     coeffs = collapse._scan_coefficients(collapse._scan_tensors(amps, h, delta))
     grid = np.diagonal(collapse._scan_grid(coeffs, thetas, phis, delta))
     point = [collapse._scan_point(coeffs, t, p, delta) for t, p in zip(thetas, phis)]
@@ -184,7 +230,7 @@ def test_grid_matches_product_branch_oracle(sites, rng):
         scale = np.max(np.abs(new))
         moved = einsum_grid(psi.amplitudes, h, *cells(thetas, phis), DELTA)
         assert np.max(np.abs(new.ravel() - moved)) <= EINSUM_RTOL * scale
-        # Nelder-Mead's single-point evaluation at every cell of the grid
+        # the single-point evaluation at every cell of the grid
         point = [[collapse._scan_point(coeffs, t, p, DELTA) for p in phis] for t in thetas]
         assert np.max(np.abs(np.array(point) - new)) <= EINSUM_RTOL * scale
 
@@ -327,3 +373,160 @@ def test_refined_minimum_is_the_objective_at_the_returned_basis():
     assert (basis.theta, basis.phi) == report.minimum[:2]
     value = collapse.mean_entangling_acceleration(collapse.decompose(psi, basis), h)
     assert value == pytest.approx(report.minimum[2], rel=1e-9, abs=1e-9)
+
+
+def central_differences(coeffs, theta, phi, step):
+    """Gradient and Hessian of ``_scan_point`` in (theta, phi) by
+    fourth-order central differences of width ``step``."""
+    def f(i, j):
+        return collapse._scan_point(coeffs, theta + i * step, phi + j * step, DELTA)
+
+    def first(g):
+        return (8.0 * (g(1) - g(-1)) - (g(2) - g(-2))) / (12.0 * step)
+
+    def second(g):
+        return (-g(2) + 16.0 * g(1) - 30.0 * g(0) + 16.0 * g(-1) - g(-2)) / (12.0 * step**2)
+
+    def mixed(k):
+        return (f(k, k) - f(k, -k) - f(-k, k) + f(-k, -k)) / (4.0 * (k * step) ** 2)
+
+    grad = np.array([first(lambda i: f(i, 0)), first(lambda j: f(0, j))])
+    cross = (4.0 * mixed(1) - mixed(2)) / 3.0
+    hess = np.array([[second(lambda i: f(i, 0)), cross], [cross, second(lambda j: f(0, j))]])
+    return grad, hess
+
+
+def closed_form(coeffs, theta, phi):
+    f, ft, fp, ftt, ftp, fpp = collapse._scan_derivatives(coeffs, theta, phi, DELTA)
+    return f, np.array([ft, fp]), np.array([[ftt, ftp], [ftp, fpp]])
+
+
+# the closed forms against central differences, relative to max(1, the
+# largest entry).  Measured off the poles at a difference step of 1e-3 rad:
+# up to 1.5e-11 for gradients and 2.6e-8 for Hessians.  At the theta = 0
+# cell the landscape varies on the scale of delta; a step of 5e-5 rad
+# measures up to 6e-10 and 3.9e-7 there, where 1e-4 rad would read 2.8e-6
+# (truncation) and 1e-5 rad 6.3e-6 (roundoff)
+DERIVATIVE_RTOL = 1e-6
+
+
+@pytest.mark.parametrize("sites", [5, 7, 9])
+def test_closed_form_derivatives_match_central_differences(sites, rng):
+    h = core.transverse_coupled(sites - 1)
+    psi = core.evolve(tilted_initial(sites - 1, math.pi / 4), h, 0.3)
+    coeffs = collapse._scan_coefficients(collapse._scan_tensors(psi.amplitudes, h, DELTA))
+    # random candidates off the poles, and the theta = 0 cell every
+    # pole-started scan begins from, where the minimum lies 3 delta away
+    candidates = [(t, p, 1e-3) for t, p in zip(rng.uniform(0.2, math.pi - 0.2, 4),
+                                                rng.uniform(0.0, 2.0 * math.pi, 4))]
+    for theta, phi, step in candidates + [(0.0, 0.0, 5e-5)]:
+        f, grad, hess = closed_form(coeffs, theta, phi)
+        assert f == pytest.approx(collapse._scan_point(coeffs, theta, phi, DELTA),
+                                  rel=1e-12, abs=1e-12)
+        want_grad, want_hess = central_differences(coeffs, theta, phi, step)
+        assert np.max(np.abs(grad - want_grad)) <= DERIVATIVE_RTOL * max(1.0, np.max(np.abs(grad)))
+        assert np.max(np.abs(hess - want_hess)) <= DERIVATIVE_RTOL * max(1.0, np.max(np.abs(hess)))
+
+
+def test_derivatives_at_a_stationary_pole_are_finite_and_flat():
+    # at the degenerate-Ising pole both branches are product states (lam = 0)
+    # at every offset: a slope of ln((1 - lam) / lam) would give inf * 0
+    h = core.degenerate_ising(4, 1.0)
+    psi = core.evolve(core.StateVector.uniform_plus(5), h, 0.3)
+    coeffs = collapse._scan_coefficients(collapse._scan_tensors(psi.amplitudes, h, DELTA))
+    jet = collapse._scan_derivatives(coeffs, 0.0, 0.0, DELTA)
+    assert all(math.isfinite(x) for x in jet)
+    assert jet[1:3] == (0.0, 0.0)
+
+
+def test_rotated_tensors_score_the_same_candidates(rng):
+    # the refine's frame: a candidate (theta, phi) there is rot @ A0(theta,
+    # phi) here, which the original landscape scores by its Bloch angles
+    h = core.transverse_coupled(5)
+    psi = random_state(rng, 6)
+    tensors = collapse._scan_tensors(psi.amplitudes, h, DELTA)
+    coeffs = collapse._scan_coefficients(tensors)
+    for coarse in (collapse.CandidateBasis(0.0, 0.0), collapse.CandidateBasis(1.1, 4.0)):
+        rot = collapse._equator_frame(coarse)
+        np.testing.assert_allclose(rot.conj().T @ rot, np.eye(2), atol=1e-15)
+        frame = collapse._scan_coefficients(collapse._rotated_tensors(tensors, rot))
+        here = collapse._scan_point(coeffs, coarse.theta, coarse.phi, DELTA)
+        at_cell = collapse._scan_point(frame, math.pi / 2, 0.0, DELTA)
+        assert at_cell == pytest.approx(here, rel=1e-12)
+        for theta, phi in zip(rng.uniform(0.0, math.pi, 5), rng.uniform(0.0, 2.0 * math.pi, 5)):
+            a = rot @ collapse.CandidateBasis(theta, phi).state_pair()[0]
+            z = a[0].conjugate() * a[1]
+            b = collapse.CandidateBasis.from_bloch_vector(
+                [2.0 * z.real, 2.0 * z.imag, abs(a[0]) ** 2 - abs(a[1]) ** 2])
+            want = collapse._scan_point(coeffs, b.theta, b.phi, DELTA)
+            got = collapse._scan_point(frame, theta, phi, DELTA)
+            assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+def scan_oracle_states(rng):
+    out = []
+    for sites in (5, 7, 9):
+        h = core.transverse_coupled(sites - 1)
+        out.append((core.evolve(tilted_initial(sites - 1, math.pi / 4), h, 0.3), h))
+        out.append((random_state(rng, sites), h))
+    return out
+
+
+def acceptance_states():
+    # the states of test_10_basis_method_agreement: n = 4 and 8 at the first
+    # speed peak of a tilted environment
+    out = []
+    for n in (4, 8):
+        h = core.transverse_coupled(n)
+        init = tilted_initial(n, math.pi / 4)
+        trace = entanglement.compute_trace(init, h, t_max=2.0, dt=0.02)
+        _, t_c, _ = entanglement.first_speed_peak(trace)
+        out.append((core.evolve(init, h, t_c), h))
+    return out
+
+
+def trajectory_scan_states(monkeypatch, inputs=5):
+    # the states the benchmark's collapse-scan trajectories scan: 7 sites,
+    # initial Bloch angles within 0.05 of pi/2, 2 crossings each
+    seen = []
+    scan = collapse.scan_collapse_basis
+
+    def recording_scan(psi, h, settings=None):
+        seen.append((psi, h))
+        return scan(psi, h, settings)
+
+    monkeypatch.setattr(collapse, "scan_collapse_basis", recording_scan)
+    angles = np.random.default_rng(22).uniform(-0.05, 0.05, (inputs, 2)) + math.pi / 2
+    h = core.transverse_coupled(6)
+    for i, (sys_theta, env_theta) in enumerate(angles):
+        init = core.StateVector.from_site_states(
+            [core.spin_state(sys_theta)] + [core.spin_state(env_theta)] * 6)
+        collapse.run_trajectory(init, h, collapse.ThresholdPolicy(0.5, 0.02), t_max=0.25,
+                                seed=i, basis_method="scan")
+    monkeypatch.undo()
+    return seen
+
+
+def test_newton_reaches_the_nelder_mead_minimum(rng, monkeypatch):
+    states = scan_oracle_states(rng) + acceptance_states() + trajectory_scan_states(monkeypatch)
+    assert len(states) >= 16
+    for psi, h in states:
+        basis, report = collapse.scan_collapse_basis(psi, h)
+        want, want_min, nm_evals = nelder_mead_scan(psi, h)
+        got_min = report.minimum[2]
+        assert got_min <= want_min + 1e-12 * max(1.0, abs(got_min))
+        assert abs(basis.theta - want.theta) <= 1e-6
+        assert collapse.basis_axis_distance(basis, want) <= 1e-6
+        # both refines ran, and Newton with far fewer evaluations
+        assert 0 < report.nm_evaluations < nm_evals
+
+
+def test_refine_at_an_exact_minimum_keeps_the_cell():
+    # the degenerate-Ising pole: no step lowers the objective, so the scan
+    # returns the coarse cell bit for bit after one evaluation
+    h = core.degenerate_ising(4, 1.0)
+    psi = core.evolve(core.StateVector.uniform_plus(5), h, 0.3)
+    basis, report = collapse.scan_collapse_basis(psi, h)
+    assert (basis.theta, basis.phi) == report.coarse_minimum[:2] == (0.0, 0.0)
+    assert report.minimum == report.coarse_minimum
+    assert report.nm_evaluations == 1
