@@ -209,10 +209,10 @@ def _scan_tensors(amps: np.ndarray, h: core.PauliTermSum, delta: float) -> tuple
     for step in (delta, 2.0 * delta):
         inc = np.zeros_like(vecs)
         inc[:, live] = (prop.propagate([step])[..., 0] - unit) * norms[live]
-        x = inc.T.reshape(8, -1)
-        grams.append(entanglement._inner(x, x))
-        crosses.append(entanglement._inner(x, mat))
-    return entanglement._inner(mat, mat).T, np.stack(grams), np.stack(crosses)
+        x = inc.T.reshape(1, 8, -1)
+        grams.append(entanglement._gram(x, x)[0].T)
+        crosses.append(entanglement._gram(mat[None], x)[0].T)
+    return entanglement._gram(mat[None], mat[None])[0], np.stack(grams), np.stack(crosses)
 
 
 # a candidate row is a_p = r_p e^{i p phi}, each r_p given by its sine
@@ -854,10 +854,11 @@ class HistoryTree:
         self._root = None
         self._lock = threading.Lock()
 
-    def _event_basis(self, t: float, state: core.StateVector, epsilon_dot: float):
+    def _event_basis(self, t: float, state, epsilon_dot: float):
+        # the sampling loop builds the sample's state only when asked
         if not check_threshold(epsilon_dot, self.policy):
             return None
-        basis, _, _ = determine_basis(state, self.h, self.basis_method, self.scan_settings)
+        basis, _, _ = determine_basis(state(), self.h, self.basis_method, self.scan_settings)
         if basis is None:
             logger.warning("flat basis landscape; collapse event skipped")
         return basis

@@ -23,9 +23,9 @@ matrix-free Lanczos propagator (Saad, SIAM J. Numer. Anal. 29, 209 (1992);
 Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)) with one basis per
 column.  Every evolution query answers with the bits of the same query on a
 fresh propagator.  :meth:`Propagator.moments` also gives ``H psi_t`` and
-``H^2 psi_t`` at every offset, which the entropy's closed-form derivatives
-read, so one propagator serves a whole window of trace samples
-(:func:`moment_window`).
+``H^2 psi_t`` at every offset as one (k, 3, dim) block, which the entropy's
+closed-form derivatives read, so one propagator and one query serve a whole
+window of trace samples (``entanglement._sample``).
 """
 
 from __future__ import annotations
@@ -802,27 +802,6 @@ class Propagator:
         if not math.isfinite(dt):
             raise ValueError("dt must be finite")
         return StateVector(self.evolve_times([dt])[..., 0])
-
-
-def moment_window(psi: StateVector, h: PauliTermSum, dt: float, first: int, last: int):
-    """Yields ``(j, state, moments, window)`` for the offsets ``j * dt``, ``j
-    = first, first + 1, ...``, from one :meth:`Propagator.moments` query on
-    ``window``, the :class:`Propagator` at ``psi``: ``moments`` is the
-    offset's row (a view of the window's block) and ``state`` its first
-    vector, renormalized and drift-guarded.  Further queries on ``window``
-    at offsets near ``j * dt`` reuse what the window has computed (on the
-    Lanczos path, its basis).  The window stops at ``last`` or at the
-    Lanczos reach, ``coefficient_scale() * j * dt <= 4``, on every path,
-    but takes at least one step.
-    """
-    reach = h.coefficient_scale() * dt
-    if reach > 0.0:
-        last = min(last, max(1, math.floor(_KRYLOV_MAX_REACH / reach)))
-    offsets = np.arange(first, last + 1)
-    window = Propagator(psi, h)
-    block = window.moments(offsets * dt)
-    for j, moments in zip(offsets.tolist(), block):
-        yield j, StateVector(_unit_columns(moments[0])), moments, window
 
 
 def partial_trace_system(psi: StateVector, split: BipartiteSplit | None = None) -> DensityMatrix:

@@ -4,18 +4,23 @@ Entropy is reported in nats throughout; the rate formulas then carry no
 base-conversion factors.  The entropy is a function of the reduced state's
 Gram determinant alone, and every system entropy comes from one
 determinant-to-entropy rule (:func:`_entropy_of_det`, and its array twin
-for the basis-scan grid).  The speed and acceleration are closed forms in
-psi, H psi and H^2 psi (:func:`_entropy_rates`), whose determinant also
-gives the sample's entropy.  At a product state, exactly where collapse
-dynamics operates, the speed is 0 and the acceleration infinite, so there
-the acceleration is the one-sided second difference of the entropies of
-exact short evolutions, by the same rule.
+for the basis-scan grid).  Every Gram entry, of one state or of a whole
+window of samples, comes from one chunked kernel (:func:`_gram`).  The
+speed and acceleration are closed forms in psi, H psi and H^2 psi
+(:func:`_rates`), whose determinant also gives the sample's entropy.  At a
+product state, exactly where collapse dynamics operates, the speed is 0 and
+the acceleration infinite, so there the acceleration is the one-sided
+second difference of the entropies of exact short evolutions, by the same
+rule (:func:`_stencils`).  The sampling loop (:func:`_sample`) makes one
+pass per window of samples: one moments query, one kernel call for every
+sample's rates and norm, and one stencil query for its product states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,12 +79,30 @@ def _entropies_of_dets(d: np.ndarray) -> np.ndarray:
     return np.maximum(small - (1.0 - lam) * np.log1p(-lam), 0.0)
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``out[i, j] = <x[i], y[j]>``, each a sum along a contiguous row, where
-    numpy sums pairwise, so its bits depend neither on the BLAS thread count
-    nor on the other rows."""
-    xc = x.conj()
-    return np.array([(row * xc).sum(axis=-1) for row in y]).T
+# bytes of the complex temporary that one step of the Gram kernel makes (one
+# sample's at least), so that the temporary does not grow with the window
+_GRAM_CHUNK_BYTES = 1 << 17
+
+
+def _gram(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``out[s, i, j] = <cols[s, j], rows[s, i]>`` for blocks of shape
+    (k, a, n) and (k, b, n): the Gram entries of k samples at once.
+
+    Each entry is one product broadcast over the samples and summed along
+    the contiguous last axis, where numpy sums pairwise, so its bits depend
+    neither on the BLAS thread count, nor on the other rows, nor on k.  The
+    samples go in chunks whose (chunk, b, n) temporary stays within
+    ``_GRAM_CHUNK_BYTES`` (one sample at least).
+    """
+    k, a, n = rows.shape
+    b = cols.shape[1]
+    out = np.empty((k, a, b), dtype=complex)
+    step = max(1, _GRAM_CHUNK_BYTES // (16 * b * n))
+    for lo in range(0, k, step):
+        conj = cols[lo:lo + step].conj()
+        for i in range(a):
+            out[lo:lo + step, i] = (rows[lo:lo + step, i, None] * conj).sum(axis=-1)
+    return out
 
 
 def _pair(x: tuple, y: tuple) -> float:
@@ -94,19 +117,38 @@ def _det(rho: tuple) -> float:
     return 0.5 * _pair(rho, rho) / (rho[0] + rho[1]) ** 2
 
 
+def _entropies(rows: np.ndarray) -> list:
+    """Entropies of the system qubit for the states that are the rows of a
+    (c, dim) array (they need not be normalized), from their reduced
+    states' Gram determinants by one :func:`_gram` call."""
+    m = rows.reshape(rows.shape[0], 2, -1)
+    return [_entropy_of_det(_det((g[0][0].real, g[1][1].real, g[0][1])))
+            for g in _gram(m, m).tolist()]
+
+
 def state_entropy(psi) -> float:
     """Entropy of the system qubit for a full register state (or any
     amplitude vector; it need not be normalized), from its reduced state's
-    Gram determinant as in :func:`_entropy_rates`."""
+    Gram determinant (:func:`_entropies`)."""
     amps = psi.amplitudes if isinstance(psi, core.StateVector) else np.asarray(psi, complex)
-    m = amps.reshape(2, -1)
-    g = _inner(m, m).tolist()  # g[i][j] = <m_i, m_j>
-    return _entropy_of_det(_det((g[0][0].real, g[1][1].real, g[1][0])))
+    return _entropies(amps[None])[0]
 
 
-def _entropy_rates(moments: np.ndarray) -> tuple[float, float, float]:
-    """S, S' and S'' of the system qubit from psi, H psi and H^2 psi, the
-    rows of a contiguous (3, dim) array; psi need not be normalized.
+def _window_grams(block: np.ndarray) -> list:
+    """The Gram entries that :func:`_rates` reads, for every sample of a
+    (k, 3, dim) :meth:`core.Propagator.moments` block, by two
+    :func:`_gram` calls: per sample ``(g, hh)`` as nested lists, ``g[r][i]
+    = <m_i, row_r>`` over the six rows ``m0, m1, (H psi)0, 1, (H^2 psi)0,
+    1`` and ``hh[r][i] = <(H psi)_i, (H psi)_r>``."""
+    rows = block.reshape(block.shape[0], 6, -1)
+    return list(zip(_gram(rows, rows[:, :2]).tolist(),
+                    _gram(rows[:, 2:4], rows[:, 2:4]).tolist()))
+
+
+def _rates(g: list, hh: list) -> tuple[float, float, float]:
+    """S, S' and S'' of the system qubit from one sample's Gram entries
+    (:func:`_window_grams`) of psi, H psi and H^2 psi; psi need not be
+    normalized.
 
     With ``M = psi.reshape(2, -1)``, ``A = -i (H psi).reshape(2, -1)`` and
     ``B = -(H^2 psi).reshape(2, -1)``, the reduced state ``rho = M M^H`` has
@@ -119,12 +161,8 @@ def _entropy_rates(moments: np.ndarray) -> tuple[float, float, float]:
     ``S'' = (D'' + 2 D'^2/s^2) 2 atanh(s)/s - D'^2/(s^2 D)``; below
     ``s = 0.05`` (a nearly maximally mixed qubit) both weights come from
     their series.  At D <= 0 (an exact product state) S and S' are 0 and
-    S'' is +inf.  Each Gram entry is a sum along a contiguous row
-    (:func:`_inner`), so its bits do not depend on BLAS threads.
+    S'' is +inf.
     """
-    rows = moments.reshape(6, -1)  # m0, m1, (H psi)0, 1, (H^2 psi)0, 1
-    g = _inner(rows[:2], rows).T.tolist()  # g[i][j] = <m_j, row_i>
-    hh = _inner(rows[2:4], rows[2:4]).T.tolist()
     rho = (g[0][0].real, g[1][1].real, g[0][1])
     rho1 = (2.0 * g[2][0].imag, 2.0 * g[3][1].imag, 1j * (g[3][0].conjugate() - g[2][1]))
     rho2 = (
@@ -153,30 +191,22 @@ def _entropy_rates(moments: np.ndarray) -> tuple[float, float, float]:
     return _entropy_of_det(d), d1 * weight, d2 * weight + d1 * d1 * curvature
 
 
-def _one_sided(window: core.Propagator, t: float, delta: float) -> float:
-    """(eps(t + 2 delta) - 2 eps(t + delta)) / delta^2, the entropies of the
-    ``window`` propagator's state evolved to those offsets, where the state
-    at offset t is a product state: there the entropy and its speed vanish
-    and S'' is infinite."""
-    offsets = [t + delta, t + 2.0 * delta]
-    e1, e2 = (state_entropy(col) for col in window.evolve_times(offsets).T)
-    return (e2 - 2.0 * e1) / delta**2
-
-
-def _acceleration(rates: tuple, window: core.Propagator, t: float, delta: float) -> float:
-    """S'' from the ``rates`` of :func:`_entropy_rates` at offset ``t`` of
-    the ``window`` propagator, or, where their entropy is below
-    ``PRODUCT_ENTROPY`` (a product state, where S'' is +inf), the
-    one-sided stencil over ``delta`` from the same propagator."""
-    entropy, _, curvature = rates
-    return _one_sided(window, t, delta) if entropy < PRODUCT_ENTROPY else curvature
+def _stencils(window: core.Propagator, offsets: list, delta: float) -> list:
+    """``(eps(t + 2 delta) - 2 eps(t + delta)) / delta^2`` for every offset
+    t of the ``window`` propagator at which its state is a product state
+    (there the entropy and its speed vanish and S'' is infinite): one
+    :meth:`core.Propagator.evolve_times` query for all of them and one
+    :func:`_entropies` call."""
+    times = [t + step for t in offsets for step in (delta, 2.0 * delta)]
+    eps = _entropies(np.ascontiguousarray(window.evolve_times(times).T))
+    return [(e2 - 2.0 * e1) / delta**2 for e1, e2 in zip(eps[::2], eps[1::2])]
 
 
 def entangling_speed(psi: core.StateVector, h: core.PauliTermSum) -> float:
     """d(entropy)/dt of the system qubit at the given instant, in closed
-    form (:func:`_entropy_rates`) from one ``moments([0])`` query; 0 at a
-    product state."""
-    return _entropy_rates(core.Propagator(psi, h).moments([0.0])[0])[1]
+    form (:func:`_rates`) from a one-sample window, one ``moments([0])``
+    query; 0 at a product state."""
+    return _rates(*_window_grams(core.Propagator(psi, h).moments([0.0]))[0])[1]
 
 
 def _check_accel_step(delta: float) -> None:
@@ -194,17 +224,19 @@ def entangling_acceleration(
     delta: float = DEFAULT_ACCEL_STEP,
 ) -> float:
     """d^2(entropy)/dt^2 of the system qubit, in closed form from psi, H psi
-    and H^2 psi (:func:`_entropy_rates`).
+    and H^2 psi (:func:`_rates`) of a one-sample window.
 
     Where the entropy is below ``PRODUCT_ENTROPY`` (a product state, where
     the true value is +inf) it is the one-sided stencil
-    ``(eps(2 delta) - 2 eps(delta)) / delta^2`` instead, from exact short
-    evolutions on the propagator that gave the moments (the same bits as a
-    fresh one); ``delta`` must be at least ``MIN_ACCEL_STEP``.
+    ``(eps(2 delta) - 2 eps(delta)) / delta^2`` instead (:func:`_stencils`),
+    from exact short evolutions on the propagator that gave the moments
+    (the same bits as a fresh one); ``delta`` must be at least
+    ``MIN_ACCEL_STEP``.
     """
     _check_accel_step(delta)
     window = core.Propagator(psi, h)
-    return _acceleration(_entropy_rates(window.moments([0.0])[0]), window, 0.0, delta)
+    entropy, _, curvature = _rates(*_window_grams(window.moments([0.0]))[0])
+    return _stencils(window, [0.0], delta)[0] if entropy < PRODUCT_ENTROPY else curvature
 
 
 @dataclass
@@ -265,23 +297,30 @@ def _sample(
     """The one sampling loop behind :func:`compute_trace` and
     :class:`collapse.HistoryTree`.
 
-    Samples entropy, speed and acceleration at ``k * dt``, all three from
-    one :func:`_entropy_rates` call, for ``k = 0 .. steps`` from ``state``
-    at t = 0, or, given ``start``, for ``k = start + 1 .. steps`` from
-    ``state`` at ``start * dt`` (a segment that resumes where another
-    stopped and replaced its state).  One :func:`core.moment_window` serves
-    a window of ``J = floor(4 / (coefficient_scale() * dt))`` samples (at
-    least one) through one :meth:`core.Propagator.moments` query: one
-    product back from the eigenbasis, or one Lanczos basis within its
-    reach.  Each sample's state is renormalized and drift-guarded there;
-    the window's last state starts the next window.  A product state
-    (entropy below ``PRODUCT_ENTROPY``) takes its acceleration from the
-    one-sided stencil (:func:`_acceleration`), evolved by the window's own
-    propagator to the offsets ``j * dt + delta`` and ``j * dt + 2 delta``
-    from the window's state: on the Lanczos path its basis already spans
-    them, and an offset past the reach is substepped.  ``stop(t, state,
-    epsilon_dot)`` runs once after each sample, in order; a result other
-    than None ends the segment there.
+    Samples entropy, speed and acceleration at ``k * dt`` for ``k = 0 ..
+    steps`` from ``state`` at t = 0, or, given ``start``, for ``k = start +
+    1 .. steps`` from ``state`` at ``start * dt`` (a segment that resumes
+    where another stopped and replaced its state).  It makes one pass per
+    window of ``J = floor(4 / (coefficient_scale() * dt))`` samples (at
+    least one), all from one :class:`core.Propagator` at the window's state:
+    one :meth:`core.Propagator.moments` query (one product back from the
+    eigenbasis, or one Lanczos basis within its reach) gives the window's
+    (k, 3, dim) block, and two :func:`_gram` calls give every sample's Gram
+    entries.  Then, sample by sample and in order, the norm of the sample's
+    state (``g00 + g11``) is checked: a drift beyond 1e-10, a NaN included,
+    raises :class:`core.IntegrationError`.  The sample's rates come from
+    :func:`_rates`, and ``stop(t, state, epsilon_dot)`` runs on them; a
+    result other than None ends the segment there.  ``state`` is a
+    zero-argument callable that builds the sample's :class:`core.StateVector`
+    (renormalized) when asked.  The samples after the stop sample are
+    neither checked nor used.  The window's product states (entropy below
+    ``PRODUCT_ENTROPY``) up to there take their accelerations from the
+    one-sided stencil (:func:`_stencils`), all in one query on the window's
+    propagator: on the Lanczos path its basis already spans the offsets
+    ``j * dt + delta`` and ``j * dt + 2 delta``, and an offset past the
+    reach is substepped.  A state is built only where it is handed out: to
+    ``stop`` when it asks, and at the window's last sample, whose state
+    starts the next window.
 
     Returns ``(rows, k, state, found)``: the entropy, speed and
     acceleration arrays of the samples taken, the last sample's index and
@@ -292,23 +331,40 @@ def _sample(
     origin = 0 if start is None else start  # the window's state is at sample origin
     first = 0 if start is None else start + 1
     eps, eps_dot, eps_ddot = (np.empty(max(steps + 1 - first, 0)) for _ in range(3))
+    reach = h.coefficient_scale() * dt
+    span = max(1, math.floor(core._KRYLOV_MAX_REACH / reach)) if reach > 0.0 else math.inf
     k, found = first, None  # k is the next sample
     while k <= steps and found is None:
-        for j, psi, moments, window in core.moment_window(state, h, dt, k - origin,
-                                                          steps - origin):
+        window = core.Propagator(state, h)
+        offsets = range(k - origin, min(steps - origin, span) + 1)
+        block = window.moments(np.array(offsets) * dt)
+        built = {}  # the window's states handed out so far, by offset
+
+        def state_at(j):
+            if j not in built:
+                built[j] = core.StateVector(core._unit_columns(block[j - offsets.start, 0]))
+            return built[j]
+
+        products = []  # offsets of the product states up to the stop
+        for j, (g, hh) in zip(offsets, _window_grams(block)):
+            norm = math.sqrt(g[0][0].real + g[1][1].real)
+            if not abs(norm - 1.0) <= 1e-10:
+                raise core.IntegrationError(f"evolution drifted the norm to {norm:.12g}")
             k = origin + j
             i = k - first
-            rates = _entropy_rates(moments)
-            eps[i], eps_dot[i] = rates[:2]
-            eps_ddot[i] = _acceleration(rates, window, j * dt, accel_delta)
-            state = psi
+            eps[i], eps_dot[i], eps_ddot[i] = _rates(g, hh)
+            if eps[i] < PRODUCT_ENTROPY:
+                products.append(j)
             if stop is not None:
-                found = stop(k * dt, psi, eps_dot[i])
+                found = stop(k * dt, partial(state_at, j), eps_dot[i])
                 if found is not None:
                     break
-        # the window's block (moments is a view of it) and basis go before
-        # the next window's are made
-        del moments, window
+        if products:
+            rows = np.array(products) + (origin - first)
+            eps_ddot[rows] = _stencils(window, [j * dt for j in products], accel_delta)
+        state = state_at(k - origin)
+        # the window's block and basis go before the next window's are made
+        del block, window
         origin, k = k, k + 1
     n = k - first
     return (eps[:n], eps_dot[:n], eps_ddot[:n]), k - 1, state, found

@@ -15,7 +15,7 @@
   finite-difference speed (a central difference at +-fd_step with one
   Richardson halving) and second-difference acceleration (symmetric, or
   one-sided at a product state), which the closed form
-  ``entanglement._entropy_rates`` replaced; ``richardson_acceleration``
+  ``entanglement._rates`` replaced; ``richardson_acceleration``
   extrapolates the symmetric stencil over delta and delta / 2;
 * ``block_entropies``: the system-qubit entropies of a block's columns
   from the eigenvalues ``(tr -+ disc) / 2``, which cancel near a product

@@ -211,8 +211,8 @@ def test_rates_at_an_exact_product_state():
     # the speed are 0 and the closed-form acceleration +inf
     psi = core.StateVector.uniform_plus(3)
     h = core.degenerate_ising(2)
-    moments = core.Propagator(psi, h).moments([0.0])[0]
-    assert entanglement._entropy_rates(moments) == (0.0, 0.0, math.inf)
+    block = core.Propagator(psi, h).moments([0.0])
+    assert entanglement._rates(*entanglement._window_grams(block)[0]) == (0.0, 0.0, math.inf)
     assert entanglement.entangling_acceleration(psi, h) == stencil_acceleration(psi, h) > 0.0
 
 

@@ -373,7 +373,7 @@ def _pythonpath():
 def test_entropy_bits_do_not_depend_on_blas_threads():
     # a 16-site state normalized by a fixed-order sum, so only the entropy's
     # own reduction could bring in the BLAS thread count: its Gram entries
-    # are row sums (`entanglement._inner`), not `np.vdot`, which OpenBLAS
+    # are row sums (`entanglement._gram`), not `np.vdot`, which OpenBLAS
     # splits across threads at this size
     script = (
         "import numpy as np\n"
