@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
@@ -22,6 +21,16 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+
+# CPython's own SHA-256 for the config hash: hashlib would also load
+# OpenSSL's libcrypto, 3.4 MB of resident memory for one short digest
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 from . import bullet, collapse, core, energy, entanglement, experiment
 
@@ -156,7 +165,7 @@ def config_hash(cfg: RunConfig) -> str:
         for f in fields(cfg)
         if f.name not in ("out", "jobs")
     )
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return sha256(canon.encode()).hexdigest()[:12]
 
 
 def _hamiltonian(cfg: RunConfig, n: int) -> core.PauliTermSum:

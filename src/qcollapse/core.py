@@ -24,8 +24,8 @@ Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)) with one basis per
 column.  Every evolution query answers with the bits of the same query on a
 fresh propagator.  :meth:`Propagator.moments` also gives ``H psi_t`` and
 ``H^2 psi_t`` at every offset as one (k, 3, dim) block, which the entropy's
-closed-form derivatives read, so one propagator and one query serve a whole
-window of trace samples (``entanglement._sample``).
+closed-form derivatives read, so one propagator serves a whole window of
+trace samples, one query per chunk (``entanglement._sample``).
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ DENSE_SITE_LIMIT = 12
 
 _NORM_ATOL = 1e-8
 
-# Lanczos propagator: at most this many basis vectors per step; Saad's error
-# estimate (dimensionless, so it does not depend on the operator's scale)
-# relative to the norm of the start vector; steps longer than
-# coefficient_scale() * |t| = 4 are split, and a trace window spans at most
-# that reach.
+# Lanczos propagator: at most this many basis vectors per basis; Saad's
+# error estimate (dimensionless, so it does not depend on the operator's
+# scale) relative to the norm of the start vector; offsets that no basis of
+# that many vectors reaches are split into substeps of coefficient_scale() *
+# |t| <= 4, and a chunk of trace samples spans at most that reach.
 _KRYLOV_MAX_VECTORS = 40
 _KRYLOV_TOL = 1e-15
 _KRYLOV_MAX_REACH = 4.0
@@ -448,24 +448,35 @@ def _apply_terms(op: PauliTermSum, amps: np.ndarray) -> np.ndarray:
     no index array is read.  A scalar factor of 1.0 skips its multiply,
     which is exact.  An operator whose strings have distinct flip masks
     gets the products and sums of applying its strings one by one, in term
-    order; strings that share a mask have their factors summed first.
+    order; strings that share a mask have their factors summed first.  On
+    a vector, a reversed innermost axis of two entries (a flip of the last
+    site) would make numpy loop two entries at a time, so each half of the
+    output, ``out[..., 0]`` and ``out[..., 1]``, gets its partner half of
+    ``amps`` in one strided pass instead, with the same products and sums.
     """
     block = amps.shape[1:]
     out = np.zeros(amps.shape, dtype=amps.dtype)  # C order: each reshape is a view
-    tmp = np.empty_like(out)
+    tmp = np.empty(amps.size, dtype=amps.dtype)
     for _, shape, reverse, factor in op._apply_plan():
-        flipped = amps.reshape(shape + block)[reverse]
-        acc = out.reshape(shape + block)
-        if not isinstance(factor, np.ndarray):
-            if factor == 1.0:
-                acc += flipped
-                continue
-        elif block:
-            factor = factor[..., None]
-        scratch = tmp.reshape(shape + block)
-        np.multiply(factor, flipped, out=scratch)
-        acc += scratch
+        view = shape + block
+        src, acc = amps.reshape(view), out.reshape(view)
+        array = isinstance(factor, np.ndarray)
+        if block or shape[-1] != 2 or reverse[-1].step is None:
+            _add_product(acc, factor[..., None] if array and block else factor, src[reverse], tmp)
+            continue
+        for j in (0, 1):
+            _add_product(acc[..., j], factor[..., j] if array else factor,
+                         src[reverse[:-1] + (1 - j,)], tmp)
     return out
+
+
+def _add_product(acc: np.ndarray, factor, flipped: np.ndarray, tmp: np.ndarray) -> None:
+    """``acc += factor * flipped``, the product made in the leading entries
+    of the flat scratch array ``tmp``; a scalar factor of 1.0 skips its
+    multiply, which is exact."""
+    if isinstance(factor, np.ndarray) or factor != 1.0:
+        flipped = np.multiply(factor, flipped, out=tmp[:flipped.size].reshape(flipped.shape))
+    acc += flipped
 
 
 def apply_operator(op: PauliTermSum, psi) -> np.ndarray:
@@ -499,12 +510,19 @@ class _LanczosBasis:
     ``_KRYLOV_TOL`` times ``|amps|`` for every t, growing the basis by one
     operator apply per size it has not reached yet; the small exponential
     comes from ``eigh`` of the tridiagonal ``T_m``, kept per size.  The
-    estimate is that of the scaled operator ``-i H t``: ``beta_m`` carries
-    the units of H, and ``beta_m |t| <= coefficient_scale() |t| <= 4``
-    keeps it above the roundoff of the small exponential whatever the
-    operator's scale.  A query's answer, one (dim, m) x (m, k) product,
-    therefore does not depend on what was asked before it, while every
-    apply is paid once.  The vectors are the leading rows of one array
+    estimate is that of the scaled operator ``-i H t``, so it does not
+    depend on the operator's scale, and no offset is too long to ask: the
+    query fails, with :class:`IntegrationError`, only where no size up to
+    ``_KRYLOV_MAX_VECTORS`` passes.  The estimate carries the roundoff of
+    the small exponential times ``beta_m |t|``, so a long offset passes
+    only once ``beta_m`` is small: for a random state the basis reaches
+    ``coefficient_scale() * |t|`` of about 24 at 10 sites, while a state
+    inside a small invariant subspace, such as the permutation-symmetric
+    states of the named models (dimension 2(N+1)), breaks the basis down
+    there and passes at any offset.  A query's answer, one (dim, m) x (m,
+    k) product, therefore
+    does not depend on what was asked before it, while every apply is paid
+    once.  The vectors are the leading rows of one array
     with room for ``_KRYLOV_CHUNK`` more at a time: a vector past the room
     moves the rows, by a copy, into a new array with that many spare rows
     (at most ``_KRYLOV_MAX_VECTORS`` in all).
@@ -592,23 +610,27 @@ class _LanczosBasis:
 
 
 def _krylov_times(amps: np.ndarray, h: PauliTermSum, times, basis: _LanczosBasis,
-                  moments: bool = False) -> np.ndarray:
+                  moments: bool = False, substep: bool = True) -> np.ndarray | None:
     """exp(-i H t_j) amps for every t_j, as (dim, k); with ``moments``,
     ``H^p exp(-i H t_j) amps`` for p = 0, 1, 2, as (k, 3, dim).
 
-    ``basis`` is the Lanczos basis at ``amps``.  All offsets share it when
-    ``coefficient_scale() * |t|`` is at most 4 for each; otherwise every
-    offset is reached on its own by equal substeps that each stay within
-    that bound, the first from ``basis`` and the rest from fresh bases, and
-    the last substep's basis answers the query.
+    ``basis`` is the Lanczos basis at ``amps``, and all offsets share it
+    when it converges for all of them within ``_KRYLOV_MAX_VECTORS``.
+    Otherwise, with ``substep``, every offset is reached on its own by
+    equal substeps of ``coefficient_scale() * |t|`` at most 4, the first
+    from ``basis`` and the rest from fresh bases, and the last substep's
+    basis answers the query; without it the answer is None.
     """
     times = np.asarray(times, dtype=float)
     scale = h.coefficient_scale()
     if not math.isfinite(scale):
         raise IntegrationError(f"operator scale {scale} is not finite")
     query = _LanczosBasis.moments if moments else _LanczosBasis.propagate
-    if scale * np.max(np.abs(times), initial=0.0) <= _KRYLOV_MAX_REACH:
+    try:
         return query(basis, times)
+    except IntegrationError:
+        if not substep:
+            return None
     out = []
     for t in times:
         steps = math.ceil(scale * abs(t) / _KRYLOV_MAX_REACH)
@@ -692,11 +714,12 @@ def evolve(psi: StateVector, h: PauliTermSum, dt: float) -> StateVector:
     state is rotated into the eigenbasis and back by real GEMMs when the
     eigenvectors are real, so the d x d matrix is neither copied nor cast.
     The Lanczos basis grows until Saad's a-posteriori error estimate for
-    ``-i H dt`` is at most 1e-15 of the state's norm, and evolutions with
-    ``coefficient_scale() * |dt| > 4`` are split into equal substeps; a
-    step that does not converge within 40 basis vectors raises
-    :class:`IntegrationError`, as does a norm drift beyond 1e-10 (a NaN
-    included).  Several queries on one state are cheaper on one kept
+    ``-i H dt`` is at most 1e-15 of the state's norm; an evolution that
+    does not converge within 40 basis vectors is split into equal substeps
+    of ``coefficient_scale() * |dt| <= 4``.  A substep that does not
+    converge within 40 vectors raises :class:`IntegrationError`, as does a
+    norm drift beyond 1e-10 (a NaN included).  Several queries on one
+    state are cheaper on one kept
     :class:`Propagator`, which returns the same bits.
     """
     return Propagator(psi, h).evolve(dt)
@@ -708,8 +731,8 @@ def evolve_times(psi: StateVector, h: PauliTermSum, times) -> np.ndarray:
     One query on a fresh :class:`Propagator`: the dense path rotates all k
     phased copies back from the eigenbasis in one matrix product, and above
     ``EIGEN_SITE_LIMIT`` one Lanczos basis serves every offset through one
-    (dim, m) x (m, k) product (offsets beyond ``coefficient_scale() * |t| =
-    4`` are substepped one by one).  Every column is renormalized; a column
+    (dim, m) x (m, k) product (when it cannot within 40 vectors, offsets
+    are substepped one by one).  Every column is renormalized; a column
     whose norm drifted by more than 1e-10 raises :class:`IntegrationError`.
     """
     return Propagator(psi, h).evolve_times(times)
@@ -723,9 +746,12 @@ class Propagator:
     once, on construction: on the dense path the coefficients in the cached
     eigenbasis (one rotation of the whole block), above ``EIGEN_SITE_LIMIT``
     one Lanczos basis per column, grown only as far as the hardest query so
-    far has needed.  Each answer equals, bit for bit, the same query on a
-    fresh propagator: every query takes the smallest basis that converges
-    for its own offsets, and every dense product keeps its width.  A
+    far has needed.  That basis answers any offset it converges for, so one
+    propagator at a window's state serves chunk after chunk of a trace
+    until a chunk needs more than ``_KRYLOV_MAX_VECTORS`` vectors.  Each
+    answer equals, bit for bit, the same query on a fresh propagator: every
+    query takes the smallest basis that converges for its own offsets, and
+    every dense product keeps its width.  A
     propagator holds its state and operator and nothing else, so it lives
     only as long as the caller keeps it; there is no cache beyond it.
     """
@@ -764,7 +790,7 @@ class Propagator:
         evals, evecs = self.h.eigensystem()
         return _from_eigenbasis(evecs, self._coeffs[..., None] * self._phases(evals, times))
 
-    def moments(self, times) -> np.ndarray:
+    def moments(self, times, substep: bool = True) -> np.ndarray | None:
         """``H^p exp(-i H t_j) |psi>`` for p = 0, 1, 2 and every offset, as
         (k, 3, dim), not renormalized (a propagator over a state only).
 
@@ -772,15 +798,16 @@ class Propagator:
         phases times ``d^p``.  Dense path: one product back from the
         eigenbasis of the coefficients times ``[1, E, E^2]`` and the phases.
         Above ``EIGEN_SITE_LIMIT``: the state's Lanczos basis
-        (:meth:`_LanczosBasis.moments`) takes every offset at once within
-        ``coefficient_scale() * |t| = 4``; beyond it each offset is reached
-        by equal substeps, as in :meth:`propagate`.
+        (:meth:`_LanczosBasis.moments`) takes every offset at once when it
+        converges for all of them within ``_KRYLOV_MAX_VECTORS``; otherwise
+        each offset is reached by equal substeps, as in :meth:`propagate`,
+        or, without ``substep``, the answer is None.
         """
         times = _finite_times(times)
         if self._amps.ndim != 1:
             raise ValueError("moments are taken of a state, not of a block")
         if self.method == "krylov":
-            return _krylov_times(self._amps, self.h, times, self._bases[0], moments=True)
+            return _krylov_times(self._amps, self.h, times, self._bases[0], True, substep)
         energies = self.h.diagonal() if self.method == "diagonal" else self.h.eigensystem()[0]
         terms = self._coeffs * energies ** np.arange(3)[:, None]
         out = np.exp(-1j * np.outer(times, energies))[:, None] * terms

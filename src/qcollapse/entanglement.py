@@ -12,8 +12,10 @@ product state, exactly where collapse dynamics operates, the speed is 0 and
 the acceleration infinite, so there the acceleration is the one-sided
 second difference of the entropies of exact short evolutions, by the same
 rule (:func:`_stencils`).  The sampling loop (:func:`_sample`) makes one
-pass per window of samples: one moments query, one kernel call for every
+pass per chunk of samples: one moments query, one kernel call for every
 sample's rates and norm, and one stencil query for its product states.
+On the Lanczos path one window, one propagator at one state, serves as
+many chunks as its basis converges for.
 """
 
 from __future__ import annotations
@@ -117,6 +119,14 @@ def _det(rho: tuple) -> float:
     return 0.5 * _pair(rho, rho) / (rho[0] + rho[1]) ** 2
 
 
+# amplitude peaks (state_entropy) and Gram traces (_rates) taken as they
+# are: the fourth powers of psi in a Gram determinant stay normal floats.
+# Outside them a power of two rescales psi first; it is exact, but it may
+# move the last bit, since ``x ** 2`` need not round alike at every scale
+_PEAK_RANGE = (2.0**-100, 2.0**100)
+_GRAM_RANGE = (2.0**-200, 2.0**200)
+
+
 def _entropies(rows: np.ndarray) -> list:
     """Entropies of the system qubit for the states that are the rows of a
     (c, dim) array (they need not be normalized), from their reduced
@@ -128,10 +138,29 @@ def _entropies(rows: np.ndarray) -> list:
 
 def state_entropy(psi) -> float:
     """Entropy of the system qubit for a full register state (or any
-    amplitude vector; it need not be normalized), from its reduced state's
-    Gram determinant (:func:`_entropies`)."""
+    nonzero amplitude vector; it need not be normalized), from its reduced
+    state's Gram determinant (:func:`_entropies`).
+
+    Amplitudes whose largest real or imaginary part lies outside
+    ``_PEAK_RANGE`` are first scaled, exactly, by the power of two that
+    brings it into [1/2, 1), so that the Gram determinant neither
+    underflows nor overflows; the zero vector raises ``ValueError``.
+    """
     amps = psi.amplitudes if isinstance(psi, core.StateVector) else np.asarray(psi, complex)
+    amps = np.ascontiguousarray(amps)
+    peak = float(np.max(np.abs(amps.view(np.float64)), initial=0.0))
+    if peak == 0.0:
+        raise ValueError("the zero vector has no reduced state")
+    if not _PEAK_RANGE[0] <= peak <= _PEAK_RANGE[1]:
+        amps = _rescaled(amps, peak)
     return _entropies(amps[None])[0]
+
+
+def _rescaled(values: np.ndarray, peak: float) -> np.ndarray:
+    """The contiguous complex array ``values`` times the power of two that
+    brings ``peak``, a positive measure of their size, into [1/2, 1),
+    which is exact."""
+    return np.ldexp(values.view(np.float64), -np.frexp(peak)[1]).view(complex)
 
 
 def _window_grams(block: np.ndarray) -> list:
@@ -161,8 +190,14 @@ def _rates(g: list, hh: list) -> tuple[float, float, float]:
     ``S'' = (D'' + 2 D'^2/s^2) 2 atanh(s)/s - D'^2/(s^2 D)``; below
     ``s = 0.05`` (a nearly maximally mixed qubit) both weights come from
     their series.  At D <= 0 (an exact product state) S and S' are 0 and
-    S'' is +inf.
+    S'' is +inf.  D and its derivatives are ratios of quadratic forms in
+    psi, so Gram entries whose trace lies outside ``_GRAM_RANGE`` are first
+    rescaled by a power of two, exactly, and the products of the quadratic
+    forms neither underflow nor overflow.
     """
+    trace = g[0][0].real + g[1][1].real
+    if not _GRAM_RANGE[0] <= trace <= _GRAM_RANGE[1]:
+        g, hh = (_rescaled(np.array(x), trace).tolist() for x in (g, hh))
     rho = (g[0][0].real, g[1][1].real, g[0][1])
     rho1 = (2.0 * g[2][0].imag, 2.0 * g[3][1].imag, 1j * (g[3][0].conjugate() - g[2][1]))
     rho2 = (
@@ -300,27 +335,32 @@ def _sample(
     Samples entropy, speed and acceleration at ``k * dt`` for ``k = 0 ..
     steps`` from ``state`` at t = 0, or, given ``start``, for ``k = start +
     1 .. steps`` from ``state`` at ``start * dt`` (a segment that resumes
-    where another stopped and replaced its state).  It makes one pass per
-    window of ``J = floor(4 / (coefficient_scale() * dt))`` samples (at
-    least one), all from one :class:`core.Propagator` at the window's state:
-    one :meth:`core.Propagator.moments` query (one product back from the
-    eigenbasis, or one Lanczos basis within its reach) gives the window's
-    (k, 3, dim) block, and two :func:`_gram` calls give every sample's Gram
-    entries.  Then, sample by sample and in order, the norm of the sample's
-    state (``g00 + g11``) is checked: a drift beyond 1e-10, a NaN included,
-    raises :class:`core.IntegrationError`.  The sample's rates come from
+    where another stopped and replaced its state).  It takes the samples in
+    chunks of ``J = floor(4 / (coefficient_scale() * dt))`` (at least one),
+    the first of them one sample longer when it starts at t = 0.  A window
+    is one :class:`core.Propagator` at a sample's state, and each chunk is
+    one :meth:`core.Propagator.moments` query on it, whose (k, 3, dim)
+    block two :func:`_gram` calls turn into every sample's Gram entries.
+    On the dense and diagonal paths a window serves one chunk.  On the
+    Lanczos path it serves chunk after chunk from one basis, grown only as
+    far as each chunk needs, and a new window starts at the last sample
+    taken only when the basis does not converge for a chunk within
+    ``core._KRYLOV_MAX_VECTORS`` vectors; the first chunk of a window
+    substeps offsets beyond the basis like any evolution.  Then, sample by
+    sample and in order, the norm of the sample's state (``g00 + g11``) is
+    checked: a drift beyond 1e-10, a NaN included, raises
+    :class:`core.IntegrationError`.  The sample's rates come from
     :func:`_rates`, and ``stop(t, state, epsilon_dot)`` runs on them; a
     result other than None ends the segment there.  ``state`` is a
-    zero-argument callable that builds the sample's :class:`core.StateVector`
-    (renormalized) when asked.  The samples after the stop sample are
-    neither checked nor used.  The window's product states (entropy below
-    ``PRODUCT_ENTROPY``) up to there take their accelerations from the
-    one-sided stencil (:func:`_stencils`), all in one query on the window's
-    propagator: on the Lanczos path its basis already spans the offsets
-    ``j * dt + delta`` and ``j * dt + 2 delta``, and an offset past the
-    reach is substepped.  A state is built only where it is handed out: to
-    ``stop`` when it asks, and at the window's last sample, whose state
-    starts the next window.
+    zero-argument callable that builds the sample's
+    :class:`core.StateVector` (renormalized) when asked.  The samples after
+    the stop sample are neither checked nor used.  The chunk's product
+    states (entropy below ``PRODUCT_ENTROPY``) up to there take their
+    accelerations from the one-sided stencil (:func:`_stencils`), all in
+    one query on the window's propagator, which on the Lanczos path its
+    basis answers wherever in the window they lie.  A state is built only
+    where it is handed out: to ``stop`` when it asks, and at the chunk's
+    last sample, whose state starts the next window.
 
     Returns ``(rows, k, state, found)``: the entropy, speed and
     acceleration arrays of the samples taken, the last sample's index and
@@ -328,17 +368,25 @@ def _sample(
     ``steps``).
     """
     _check_accel_step(accel_delta)
-    origin = 0 if start is None else start  # the window's state is at sample origin
     first = 0 if start is None else start + 1
     eps, eps_dot, eps_ddot = (np.empty(max(steps + 1 - first, 0)) for _ in range(3))
     reach = h.coefficient_scale() * dt
     span = max(1, math.floor(core._KRYLOV_MAX_REACH / reach)) if reach > 0.0 else math.inf
-    k, found = first, None  # k is the next sample
+    k, found, window = first, None, None  # k is the next sample
     while k <= steps and found is None:
-        window = core.Propagator(state, h)
-        offsets = range(k - origin, min(steps - origin, span) + 1)
-        block = window.moments(np.array(offsets) * dt)
-        built = {}  # the window's states handed out so far, by offset
+        block = None
+        if window is not None:
+            # a further chunk of a Lanczos window, if its basis reaches it
+            offsets = range(k - origin, min(steps - origin, k - origin - 1 + span) + 1)
+            block = window.moments(np.array(offsets) * dt, substep=False)
+        if block is None:
+            # the last window's basis goes before the next one is made;
+            # ``state`` is the last sample's, or the start's
+            window = None
+            window, origin = core.Propagator(state, h), max(k - 1, 0)
+            offsets = range(k - origin, min(steps - origin, span) + 1)
+            block = window.moments(np.array(offsets) * dt)
+        built = {}  # the chunk's states handed out so far, by offset
 
         def state_at(j):
             if j not in built:
@@ -363,9 +411,11 @@ def _sample(
             rows = np.array(products) + (origin - first)
             eps_ddot[rows] = _stencils(window, [j * dt for j in products], accel_delta)
         state = state_at(k - origin)
-        # the window's block and basis go before the next window's are made
-        del block, window
-        origin, k = k, k + 1
+        # the chunk's block goes before the next chunk's is made
+        del block
+        if window.method != "krylov":
+            window = None
+        k += 1
     n = k - first
     return (eps[:n], eps_dot[:n], eps_ddot[:n]), k - 1, state, found
 

@@ -1,5 +1,9 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -68,6 +72,24 @@ def test_malformed_line_and_bad_values(tmp_path):
         cli.load_config(None, {"basis_method": "guess"})
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"threshold": -1.0})
+
+
+def test_config_hash_is_sha256_and_a_trace_loads_no_openssl(tmp_path):
+    # the built-in SHA-256 gives hashlib's digest; a trace command leaves
+    # OpenSSL's libcrypto (3.4 MB resident) unloaded
+    data = "\n".join(f"key{k}={k / 7!r}" for k in range(40)).encode()
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    script = (
+        "import sys\n"
+        "from qcollapse import cli\n"
+        "code = cli.main(['trace', '--set', 't_max=0.1', '--out', sys.argv[1]])\n"
+        "print(code, '_hashlib' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "t")], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.stdout.split()[-2:] == ["0", "False"], run.stderr
 
 
 def test_config_hash_ignores_output_routing():

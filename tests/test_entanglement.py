@@ -13,6 +13,7 @@ from propagation_oracles import (
     stencil_acceleration,
 )
 from qcollapse import core, entanglement, experiment
+from trajectory_oracles import state_entropy as state_entropy_oracle
 
 
 def random_state(rng, num_sites):
@@ -90,6 +91,20 @@ def test_state_entropy_matches_exact_arithmetic_near_a_product_state(rng):
         amps = np.concatenate([m0, m1])
         amps /= np.linalg.norm(amps)
         assert entanglement.state_entropy(amps) == pytest.approx(exact_entropy(amps), rel=1e-13)
+
+
+def test_state_entropy_of_tiny_huge_and_zero_vectors(rng):
+    # far from unit norm the amplitudes are rescaled by a power of two
+    # first; before that 1e-160 raised ZeroDivisionError and 1e160 gave NaN
+    amps = random_state(rng, 5).amplitudes
+    want = entanglement.state_entropy(amps)
+    assert 0.01 < want < math.log(2.0)
+    for scale in (2.0**-1000, 2.0**1000, 1e-160, 1e160, 1e-300, 1e300, 2.0**-1030):
+        assert entanglement.state_entropy(scale * amps) == pytest.approx(want, rel=1e-14)
+    # within the range the amplitudes are taken as they are
+    assert entanglement.state_entropy(2.0**90 * amps) == state_entropy_oracle(2.0**90 * amps)
+    with pytest.raises(ValueError, match="zero vector"):
+        entanglement.state_entropy(np.zeros(8))
 
 
 def test_analytic_reduced_eigenvalues_oracle():

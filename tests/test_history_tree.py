@@ -4,7 +4,12 @@ Oracles (``trajectory_oracles``): ``hook_trajectory``, one run of the
 windowed sampling loop whose per-sample hook substituted the collapsed
 branch, and ``replay_final_state``, which replayed a trajectory's collapses
 on fresh evolutions to reach the revival time.  A walk has to equal the
-hook loop bit for bit, trace and events both; a leaf's final state has to
+hook loop bit for bit, trace and events both, on the dense and diagonal
+paths; on the Lanczos path (9 sites) a window lasts as long as its basis
+converges, where the hook loop's windows span a fixed reach, so there the
+two agree to roundoff and in every event's time, outcome and draw.  A
+walk equals ``run_trajectory`` bit for bit everywhere.  A leaf's final
+state has to
 equal the replay bit for bit on the diagonal model and to roundoff on
 ``transverse_coupled``, whose collapsed states come from windowed moments
 where the replay evolves each stretch in one step.
@@ -54,6 +59,25 @@ def assert_same_trajectory(got, want, seed):
     assert collapse.events_to_jsonl(events, seed) == collapse.events_to_jsonl(want_events, seed)
 
 
+def assert_close_trajectory(got, want):
+    # measured on coupled-8 over 16 seeds: epsilon 1.5e-15, epsilon_dot
+    # 8.1e-15 and epsilon_ddot 7.1e-14 relative to max(1, |value|); Born
+    # weights 1.4e-15; energies 3.4e-14 relative
+    (trace, events), (want_trace, want_events) = got, want
+    assert np.array_equal(trace.times, want_trace.times)
+    for name in ("epsilon", "epsilon_dot", "epsilon_ddot"):
+        a, b = getattr(trace, name), getattr(want_trace, name)
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))), name
+    assert len(events) == len(want_events)
+    for e, w in zip(events, want_events):
+        assert (e.t_c, e.outcome_index, e.rng_draw) == (w.t_c, w.outcome_index, w.rng_draw)
+        assert e.basis.theta == pytest.approx(w.basis.theta, abs=1e-9)
+        assert e.basis.phi == pytest.approx(w.basis.phi, abs=1e-9)
+        np.testing.assert_allclose(e.born_weights, w.born_weights, rtol=0, atol=1e-12)
+        for name in ("e_before", "e_after_ensemble", "e_after_actual"):
+            assert getattr(e, name) == pytest.approx(getattr(w, name), rel=1e-12)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_every_walk_equals_the_hook_loop_bit_for_bit(case):
     (initial, h, policy, t_max), seeds = CASES[case]
@@ -61,10 +85,13 @@ def test_every_walk_equals_the_hook_loop_bit_for_bit(case):
     walks = {seed: tree.walk(seed) for seed in seeds}
     for seed, (trace, events, _) in walks.items():
         want = hook_trajectory(initial, h, policy, t_max, seed)
-        assert_same_trajectory((trace, events), want, seed)
+        if core._path(h) == "krylov":
+            assert_close_trajectory((trace, events), want)
+        else:
+            assert_same_trajectory((trace, events), want, seed)
         # and run_trajectory, one walk of a fresh tree
         assert_same_trajectory(
-            collapse.run_trajectory(initial, h, policy, t_max, seed), want, seed
+            collapse.run_trajectory(initial, h, policy, t_max, seed), (trace, events), seed
         )
     assert any(events for _, events, _ in walks.values())
     # trials share their prefixes: fewer nodes than events plus roots

@@ -108,6 +108,33 @@ def test_apply_terms_equals_flip_route_bit_for_bit(rng, h):
             assert np.array_equal(got[:, j], want)
 
 
+def last_site_sum(num_sites):
+    # flips that end on the last site: alone with Y/Z signs, after a run of
+    # flips, with site 0 flipped too, and over every site; plus a diagonal.
+    # One string per flip mask, so the per-term route gives the same bits
+    n = num_sites
+    strings = ["Z" * (n - 1) + "Y", "I" * (n - 1) + "X", "I" * (n - 2) + "XY",
+               "Y" + "I" * (n - 2) + "X", "X" * n, "Z" * n]
+    by_mask = {}
+    for string in strings:
+        if len(string) == n:
+            by_mask.setdefault(core._string_masks(string)[0], string)
+    coeffs = [0.7, -1.3, 0.45, 1.1, -0.8, 0.6]
+    return core.PauliTermSum(list(zip(coeffs, by_mask.values())))
+
+
+@pytest.mark.parametrize("num_sites", range(1, 14))
+def test_last_site_flips_equal_the_flip_route_bit_for_bit(rng, num_sites):
+    # a vector's last-site flip is added as two strided halves, a block's
+    # through one reversed view: both give the per-term route's bits
+    h = last_site_sum(num_sites)
+    assert any(flip & 1 for flip, *_ in h._apply_plan())
+    block = random_vectors(rng, num_sites, 2)
+    got = core._apply_terms(h, block[:, 0].copy())
+    assert np.array_equal(got, apply_terms_flip(h, block[:, 0]))
+    assert np.array_equal(core._apply_terms(h, block)[:, 0], got)
+
+
 def test_apply_plan_has_one_entry_per_flip_mask():
     # transverse_coupled: one diagonal of all the ZZ couplings and one
     # single-site flip per site; degenerate_ising: the diagonal alone
@@ -246,19 +273,37 @@ def test_evolve_times_takes_all_offsets_from_one_basis(rng, monkeypatch):
 def test_long_evolution_substeps_and_matches_dense_path(rng, monkeypatch):
     h = core.transverse_coupled(9)
     psi = random_state(rng, 10)
+    # a random state's basis does not converge at coefficient_scale() * 3
+    # = 57 within 40 vectors: after that one query fails, the step is split
+    # into substeps of reach at most 4, the first on the same basis
     bases = count_lanczos_queries(monkeypatch, lambda basis, times: float(times[0]))
     krylov = evolve_on_path(psi, h, 3.0, "krylov").amplitudes
     steps = math.ceil(h.coefficient_scale() * 3.0 / 4.0)
-    assert bases == pytest.approx([3.0 / steps] * steps, rel=1e-15)
+    assert bases == pytest.approx([3.0] + [3.0 / steps] * steps, rel=1e-15)
     dense = evolve_on_path(psi, h, 3.0, "dense").amplitudes
     assert np.max(np.abs(krylov - dense)) <= 1e-13
-    # offsets past the bound are substepped one by one, shorter ones at once
+    # when the query fails, every offset is substepped one by one
     bases.clear()
     out = core.evolve_times(psi, h, [-3.0, 0.0, 0.5])
-    assert len(bases) == steps + math.ceil(h.coefficient_scale() * 0.5 / 4.0)
+    assert len(bases) == 1 + steps + math.ceil(h.coefficient_scale() * 0.5 / 4.0)
     for j, t in enumerate([-3.0, 0.0, 0.5]):
         dense = evolve_on_path(psi, h, t, "dense").amplitudes
         assert np.max(np.abs(out[:, j] - dense)) <= 1e-13
+
+
+def test_long_evolution_in_a_small_invariant_subspace_takes_one_basis(monkeypatch):
+    # a product state whose environment spins are alike stays symmetric
+    # under permuting them: its basis breaks down at the dimension 2(N+1) =
+    # 20 of that subspace and converges at any offset, so a step of
+    # coefficient_scale() * 3 = 57 is one query, with no substep
+    h = core.transverse_coupled(9)
+    psi = tilted_product(10)
+    bases = count_lanczos_queries(monkeypatch, lambda basis, times: basis)
+    krylov = core.evolve(psi, h, 3.0).amplitudes
+    (basis,) = bases
+    assert len(basis.betas) <= 25
+    dense = evolve_on_path(psi, h, 3.0, "dense").amplitudes
+    assert np.max(np.abs(krylov - dense)) <= 1e-13
 
 
 @pytest.mark.parametrize("scale", [1e-3, 30.0, 1e3])

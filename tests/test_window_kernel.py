@@ -68,9 +68,10 @@ def test_batched_entropies_equal_the_per_state_oracle(rng, num_sites):
     num_sites=st.integers(1, 8),
     k=st.integers(1, 40),
     chunk_bytes=st.sampled_from([1, 100, 4096, 1 << 17]),
-    # the squared trace of the reduced state is squared again in _det, so
-    # scales past about 1e+-75 over- or underflow on both routes alike
-    scale=st.sampled_from([1.0, 1e-30, 1e30]),
+    # the squared trace of the reduced state is squared again in _det:
+    # _rates rescales Gram entries past 2^+-240 by a power of two, the
+    # oracle the rows, so psi at 1e+-150 (Gram entries at 1e+-300) holds
+    scale=st.sampled_from([1.0, 1e-150, 1e150]),
 )
 def test_window_kernel_property(seed, num_sites, k, chunk_bytes, scale):
     block = random_block(np.random.default_rng(seed), k, num_sites, scale)

@@ -15,7 +15,12 @@
   state-substituting hook, ``on_sample(t, state, epsilon_dot)``, run once
   after each sample and returning the state to continue from; a new state
   ended the window.  ``entanglement._sample`` replaced the hook with a
-  start index and a stop predicate;
+  start index and a stop predicate.  Its windows keep the fixed-reach
+  rule: a fresh propagator every ``floor(4 / (coefficient_scale() * dt))``
+  samples (``moment_window``), where ``entanglement._sample`` keeps one
+  Lanczos window for as many chunks of that size as its basis converges
+  for, so on the Lanczos path the two agree to roundoff, and bit for bit
+  on the dense and diagonal paths;
 * ``hook_trajectory``: ``collapse.run_trajectory`` as one run of that loop,
   whose hook found the basis, decomposed, audited the energies and drew
   the outcome at every crossing (any sampler with the same signature, for
@@ -43,10 +48,18 @@ def inner(x, y):
 def entropy_rates(moments):
     """S, S' and S'' of the system qubit from psi, H psi and H^2 psi, the
     rows of one sample's contiguous (3, dim) array, by :func:`inner` and the
-    closed forms of ``entanglement._rates``."""
+    closed forms of ``entanglement._rates``.  Gram entries whose trace lies
+    outside ``entanglement._GRAM_RANGE`` are divided by the trace's power
+    of two first."""
     rows = moments.reshape(6, -1)  # m0, m1, (H psi)0, 1, (H^2 psi)0, 1
-    g = inner(rows[:2], rows).T.tolist()  # g[i][j] = <m_j, row_i>
-    hh = inner(rows[2:4], rows[2:4]).T.tolist()
+    g, hh = inner(rows[:2], rows).T, inner(rows[2:4], rows[2:4]).T  # g[i][j] = <m_j, row_i>
+    trace = g[0, 0].real + g[1, 1].real
+    low, high = entanglement._GRAM_RANGE
+    if not low <= trace <= high:
+        e = math.frexp(trace)[1]
+        g, hh = (np.ldexp(np.ascontiguousarray(x).view(np.float64), -e).view(complex)
+                 for x in (g, hh))
+    g, hh = g.tolist(), hh.tolist()
     rho = (g[0][0].real, g[1][1].real, g[0][1])
     rho1 = (2.0 * g[2][0].imag, 2.0 * g[3][1].imag, 1j * (g[3][0].conjugate() - g[2][1]))
     rho2 = (
@@ -94,7 +107,8 @@ def moment_window(psi, h, dt, first, last):
     """Yields ``(j, state, moments, window)`` for the offsets ``j * dt``,
     ``j = first ..``, from one ``moments`` query on ``window``, the
     propagator at ``psi``, with every sample's state built, renormalized and
-    drift-guarded; the window stops at ``last`` or at the Lanczos reach."""
+    drift-guarded; the window stops at ``last`` or at the fixed reach
+    ``coefficient_scale() * j * dt <= 4``, whatever the basis could reach."""
     reach = h.coefficient_scale() * dt
     if reach > 0.0:
         last = min(last, max(1, math.floor(core._KRYLOV_MAX_REACH / reach)))
