@@ -135,6 +135,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown format {cfg.format!r}")
     if cfg.n < 1 or any(n < 1 for n in cfg.n_list) or not cfg.n_list:
         raise ConfigError("environment sizes must be >= 1")
+    for key in ("t_max", "g", "sys_theta", "env_theta"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite")
     if cfg.g <= 0:
         raise ConfigError("g must be positive")
     if not (cfg.t_max > 0 and cfg.accel_delta > 0):

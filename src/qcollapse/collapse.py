@@ -844,6 +844,8 @@ class HistoryTree:
         _check_basis_method(basis_method)
         if t_max <= 0.0:
             raise ValueError("t_max must be positive")
+        if not math.isfinite(t_max):
+            raise ValueError("t_max must be finite")
         self.initial, self.h, self.policy, self.t_max = initial, h, policy, t_max
         self.basis_method = basis_method
         self.scan_settings = scan_settings or ScanSettings()

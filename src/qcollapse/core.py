@@ -25,7 +25,8 @@ column.  Every evolution query answers with the bits of the same query on a
 fresh propagator.  :meth:`Propagator.moments` also gives ``H psi_t`` and
 ``H^2 psi_t`` at every offset as one (k, 3, dim) block, which the entropy's
 closed-form derivatives read, so one propagator serves a whole window of
-trace samples, one query per chunk (``entanglement._sample``).
+trace samples, one query per chunk (``entanglement._sample``): a whole
+segment on the diagonal and dense paths.
 """
 
 from __future__ import annotations
@@ -247,7 +248,8 @@ class PauliTermSum:
     lazily, which makes repeated evolutions under the same operator cheap.
     """
 
-    __slots__ = ("terms", "num_sites", "is_diagonal", "_scale", "_diag", "_eig", "_plan")
+    __slots__ = ("terms", "num_sites", "is_diagonal", "_scale", "_diag", "_levels", "_eig",
+                 "_plan")
 
     def __init__(self, terms, num_sites: int | None = None):
         packed = []
@@ -283,6 +285,7 @@ class PauliTermSum:
         self.is_diagonal = all(set(t.string) <= {"I", "Z"} for t in self.terms)
         self._scale = float(sum(abs(t.coefficient) for t in self.terms))
         self._diag = None
+        self._levels = None
         self._eig = None
         self._plan = None
 
@@ -313,6 +316,16 @@ class PauliTermSum:
                 diag += np.reshape(factor, -1)
             self._diag = diag
         return self._diag
+
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached, read-only distinct values of :meth:`diagonal` and, per
+        amplitude, the index of its value among them: a phase taken per
+        level and gathered has the bits of the phase taken per amplitude."""
+        if self._levels is None:
+            values, inverse = np.unique(self.diagonal(), return_inverse=True)
+            values.flags.writeable = inverse.flags.writeable = False
+            self._levels = (values, inverse)
+        return self._levels
 
     def dense(self) -> np.ndarray:
         """Materialize the full matrix (small registers only).
@@ -746,14 +759,17 @@ class Propagator:
     once, on construction: on the dense path the coefficients in the cached
     eigenbasis (one rotation of the whole block), above ``EIGEN_SITE_LIMIT``
     one Lanczos basis per column, grown only as far as the hardest query so
-    far has needed.  That basis answers any offset it converges for, so one
-    propagator at a window's state serves chunk after chunk of a trace
-    until a chunk needs more than ``_KRYLOV_MAX_VECTORS`` vectors.  Each
-    answer equals, bit for bit, the same query on a fresh propagator: every
-    query takes the smallest basis that converges for its own offsets, and
-    every dense product keeps its width.  A
-    propagator holds its state and operator and nothing else, so it lives
-    only as long as the caller keeps it; there is no cache beyond it.
+    far has needed; the diagonal path reads the operator's cached levels
+    (:meth:`PauliTermSum.levels`).  The diagonal and dense paths are exact
+    at any offset, so one propagator at a segment's start state serves the
+    whole segment of a trace.  A Lanczos basis answers any offset it
+    converges for, so one propagator at a window's state serves chunk after
+    chunk until a chunk needs more than ``_KRYLOV_MAX_VECTORS`` vectors.
+    Each answer equals, bit for bit, the same query on a fresh propagator:
+    every query takes the smallest basis that converges for its own
+    offsets, and every dense product keeps its width.  A propagator holds
+    its state and operator and nothing else, so it lives only as long as
+    the caller keeps it; there is no cache beyond it.
     """
 
     __slots__ = ("h", "method", "_amps", "_coeffs", "_bases")
@@ -786,7 +802,8 @@ class Propagator:
             out = [_krylov_times(c, self.h, times, b) for c, b in zip(cols, self._bases)]
             return out[0] if amps.ndim == 1 else np.stack(out, axis=1)
         if self.method == "diagonal":
-            return amps[..., None] * self._phases(self.h.diagonal(), times)
+            values, inverse = self.h.levels()
+            return amps[..., None] * self._phases(values, times)[inverse]
         evals, evecs = self.h.eigensystem()
         return _from_eigenbasis(evecs, self._coeffs[..., None] * self._phases(evals, times))
 
@@ -795,8 +812,10 @@ class Propagator:
         (k, 3, dim), not renormalized (a propagator over a state only).
 
         Each offset's three vectors are contiguous rows.  Diagonal path: the
-        phases times ``d^p``.  Dense path: one product back from the
-        eigenbasis of the coefficients times ``[1, E, E^2]`` and the phases.
+        phases, one per offset and distinct level
+        (:meth:`PauliTermSum.levels`) gathered onto the amplitudes, times
+        ``d^p``.  Dense path: one product back from the eigenbasis of the
+        coefficients times ``[1, E, E^2]`` and the phases.
         Above ``EIGEN_SITE_LIMIT``: the state's Lanczos basis
         (:meth:`_LanczosBasis.moments`) takes every offset at once when it
         converges for all of them within ``_KRYLOV_MAX_VECTORS``; otherwise
@@ -808,9 +827,15 @@ class Propagator:
             raise ValueError("moments are taken of a state, not of a block")
         if self.method == "krylov":
             return _krylov_times(self._amps, self.h, times, self._bases[0], True, substep)
-        energies = self.h.diagonal() if self.method == "diagonal" else self.h.eigensystem()[0]
+        if self.method == "diagonal":
+            values, inverse = self.h.levels()
+            energies = self.h.diagonal()
+            phases = np.exp(-1j * np.outer(times, values)).take(inverse, axis=1)
+        else:
+            energies = self.h.eigensystem()[0]
+            phases = np.exp(-1j * np.outer(times, energies))
         terms = self._coeffs * energies ** np.arange(3)[:, None]
-        out = np.exp(-1j * np.outer(times, energies))[:, None] * terms
+        out = phases[:, None] * terms
         if self.method == "dense":
             out = np.ascontiguousarray(_from_eigenbasis(self.h.eigensystem()[1], out.T).T)
         return out

@@ -4,18 +4,19 @@ Entropy is reported in nats throughout; the rate formulas then carry no
 base-conversion factors.  The entropy is a function of the reduced state's
 Gram determinant alone, and every system entropy comes from one
 determinant-to-entropy rule (:func:`_entropy_of_det`, and its array twin
-for the basis-scan grid).  Every Gram entry, of one state or of a whole
-window of samples, comes from one chunked kernel (:func:`_gram`).  The
-speed and acceleration are closed forms in psi, H psi and H^2 psi
-(:func:`_rates`), whose determinant also gives the sample's entropy.  At a
-product state, exactly where collapse dynamics operates, the speed is 0 and
-the acceleration infinite, so there the acceleration is the one-sided
-second difference of the entropies of exact short evolutions, by the same
-rule (:func:`_stencils`).  The sampling loop (:func:`_sample`) makes one
-pass per chunk of samples: one moments query, one kernel call for every
-sample's rates and norm, and one stencil query for its product states.
-On the Lanczos path one window, one propagator at one state, serves as
-many chunks as its basis converges for.
+for the basis-scan grid and the product-state stencils).  Every Gram
+entry, of one state or of a whole window of samples, comes from one
+chunked kernel (:func:`_gram`).  The speed and acceleration are closed
+forms in psi, H psi and H^2 psi (:func:`_rates`), whose determinant also
+gives the sample's entropy.  At a product state, exactly where collapse
+dynamics operates, the speed is 0 and the acceleration infinite, so there
+the acceleration is the one-sided second difference of the entropies of
+exact short evolutions (:func:`_stencils`), read off unnormalized columns
+through the same kernel.  The sampling loop (:func:`_sample`) makes one pass per chunk of
+samples: one moments query, one kernel call for every sample's rates and
+norm, and one stencil query for its product states.  A window, one
+propagator at one state, serves a whole segment on the dense and diagonal
+paths, and on the Lanczos path as many chunks as its basis converges for.
 """
 
 from __future__ import annotations
@@ -199,15 +200,15 @@ def _rates(g: list, hh: list) -> tuple[float, float, float]:
     if not _GRAM_RANGE[0] <= trace <= _GRAM_RANGE[1]:
         g, hh = (_rescaled(np.array(x), trace).tolist() for x in (g, hh))
     rho = (g[0][0].real, g[1][1].real, g[0][1])
+    d = _det(rho)
+    if not d > 0.0:
+        return 0.0, 0.0, math.inf
     rho1 = (2.0 * g[2][0].imag, 2.0 * g[3][1].imag, 1j * (g[3][0].conjugate() - g[2][1]))
     rho2 = (
         2.0 * (hh[0][0] - g[4][0]).real,
         2.0 * (hh[1][1] - g[5][1]).real,
         2.0 * hh[0][1] - g[4][1] - g[5][0].conjugate(),
     )
-    d = _det(rho)
-    if not d > 0.0:
-        return 0.0, 0.0, math.inf
     norm2 = (rho[0] + rho[1]) ** 2  # D and its derivatives are quadratic in psi
     d1 = _pair(rho, rho1) / norm2
     d2 = (_pair(rho, rho2) + _pair(rho1, rho1)) / norm2
@@ -230,11 +231,23 @@ def _stencils(window: core.Propagator, offsets: list, delta: float) -> list:
     """``(eps(t + 2 delta) - 2 eps(t + delta)) / delta^2`` for every offset
     t of the ``window`` propagator at which its state is a product state
     (there the entropy and its speed vanish and S'' is infinite): one
-    :meth:`core.Propagator.evolve_times` query for all of them and one
-    :func:`_entropies` call."""
+    :meth:`core.Propagator.propagate` query for all of them and one
+    :func:`_gram` call for every column's reduced state.  The columns are
+    not renormalized: each one's norm is checked from its Gram diagonal as
+    a sample's is, and :func:`_det`, over arrays here, is scale-free; the
+    entropies come from the array twin of the one rule
+    (:func:`_entropies_of_dets`)."""
     times = [t + step for t in offsets for step in (delta, 2.0 * delta)]
-    eps = _entropies(np.ascontiguousarray(window.evolve_times(times).T))
-    return [(e2 - 2.0 * e1) / delta**2 for e1, e2 in zip(eps[::2], eps[1::2])]
+    rows = np.ascontiguousarray(window.propagate(times).T).reshape(len(times), 2, -1)
+    g = _gram(rows, rows)
+    rho = (g[:, 0, 0].real, g[:, 1, 1].real, g[:, 0, 1])
+    norms = np.sqrt(rho[0] + rho[1])
+    drifted = ~(np.abs(norms - 1.0) <= 1e-10)  # a NaN drifts
+    if drifted.any():
+        raise core.IntegrationError(
+            f"evolution drifted the norm to {norms[np.argmax(drifted)]:.12g}")
+    eps = _entropies_of_dets(_det(rho))
+    return ((eps[1::2] - 2.0 * eps[::2]) / delta**2).tolist()
 
 
 def entangling_speed(psi: core.StateVector, h: core.PauliTermSum) -> float:
@@ -320,6 +333,13 @@ def _unit_scale(units: str) -> float:
     raise ValueError(f"unknown entropy units {units!r}")
 
 
+# bytes of the (k, 3, dim) moments block of a chunk after a window's
+# first on the dense and diagonal paths, which are exact at any offset: a
+# 7-site segment of 150 samples takes 0.9 MB, while from 13 sites up a
+# chunk stays at the first chunk's J samples
+_CHUNK_BYTES = 1 << 20
+
+
 def _sample(
     state: core.StateVector,
     h: core.PauliTermSum,
@@ -335,20 +355,23 @@ def _sample(
     Samples entropy, speed and acceleration at ``k * dt`` for ``k = 0 ..
     steps`` from ``state`` at t = 0, or, given ``start``, for ``k = start +
     1 .. steps`` from ``state`` at ``start * dt`` (a segment that resumes
-    where another stopped and replaced its state).  It takes the samples in
-    chunks of ``J = floor(4 / (coefficient_scale() * dt))`` (at least one),
-    the first of them one sample longer when it starts at t = 0.  A window
-    is one :class:`core.Propagator` at a sample's state, and each chunk is
-    one :meth:`core.Propagator.moments` query on it, whose (k, 3, dim)
-    block two :func:`_gram` calls turn into every sample's Gram entries.
-    On the dense and diagonal paths a window serves one chunk.  On the
-    Lanczos path it serves chunk after chunk from one basis, grown only as
-    far as each chunk needs, and a new window starts at the last sample
-    taken only when the basis does not converge for a chunk within
-    ``core._KRYLOV_MAX_VECTORS`` vectors; the first chunk of a window
-    substeps offsets beyond the basis like any evolution.  Then, sample by
-    sample and in order, the norm of the sample's state (``g00 + g11``) is
-    checked: a drift beyond 1e-10, a NaN included, raises
+    where another stopped and replaced its state).  A window is one
+    :class:`core.Propagator` at a state, and each chunk of samples is one
+    :meth:`core.Propagator.moments` query on it, whose (k, 3, dim) block
+    two :func:`_gram` calls turn into every sample's Gram entries.  A
+    window's first chunk takes ``J = floor(4 / (coefficient_scale() *
+    dt))`` samples (at least one; one more when it starts at t = 0), so a
+    segment that stops early pays for no more.  On the dense and diagonal
+    paths, whose offsets are exact at any reach, one window serves the
+    whole segment: a further chunk takes the rest of it, within
+    ``_CHUNK_BYTES`` of block and never fewer than J samples.  On the
+    Lanczos path a further chunk takes J samples from the same basis,
+    grown only as far as each chunk needs, and a new window starts at the
+    last sample taken only when the basis does not converge for a chunk
+    within ``core._KRYLOV_MAX_VECTORS`` vectors; the first chunk of a
+    window substeps offsets beyond the basis like any evolution.  Then,
+    sample by sample and in order, the norm of the sample's state (``g00 +
+    g11``) is checked: a drift beyond 1e-10, a NaN included, raises
     :class:`core.IntegrationError`.  The sample's rates come from
     :func:`_rates`, and ``stop(t, state, epsilon_dot)`` runs on them; a
     result other than None ends the segment there.  ``state`` is a
@@ -359,8 +382,10 @@ def _sample(
     accelerations from the one-sided stencil (:func:`_stencils`), all in
     one query on the window's propagator, which on the Lanczos path its
     basis answers wherever in the window they lie.  A state is built only
-    where it is handed out: to ``stop`` when it asks, and at the chunk's
-    last sample, whose state starts the next window.
+    where it is handed out: to ``stop`` when it asks, at the segment's
+    last sample, and, on the Lanczos path, at the last sample before a
+    chunk that does not converge, whose state starts the next window (of
+    each chunk only that row is kept).
 
     Returns ``(rows, k, state, found)``: the entropy, speed and
     acceleration arrays of the samples taken, the last sample's index and
@@ -372,18 +397,23 @@ def _sample(
     eps, eps_dot, eps_ddot = (np.empty(max(steps + 1 - first, 0)) for _ in range(3))
     reach = h.coefficient_scale() * dt
     span = max(1, math.floor(core._KRYLOV_MAX_REACH / reach)) if reach > 0.0 else math.inf
-    k, found, window = first, None, None  # k is the next sample
+    wide = max(span, _CHUNK_BYTES // (48 * h.dim))  # further chunks, exact paths
+    k, found, window, last = first, None, None, None  # k is the next sample
     while k <= steps and found is None:
         block = None
         if window is not None:
-            # a further chunk of a Lanczos window, if its basis reaches it
-            offsets = range(k - origin, min(steps - origin, k - origin - 1 + span) + 1)
+            # a further chunk of the window; on the Lanczos path only if its
+            # basis reaches it
+            offsets = range(k - origin, min(steps - origin, k - origin - 1 + size) + 1)
             block = window.moments(np.array(offsets) * dt, substep=False)
         if block is None:
+            if last is not None:
+                state = core.StateVector(core._unit_columns(last))
             # the last window's basis goes before the next one is made;
             # ``state`` is the last sample's, or the start's
-            window = None
+            window = last = None
             window, origin = core.Propagator(state, h), max(k - 1, 0)
+            size = span if window.method == "krylov" else wide
             offsets = range(k - origin, min(steps - origin, span) + 1)
             block = window.moments(np.array(offsets) * dt)
         built = {}  # the chunk's states handed out so far, by offset
@@ -410,11 +440,12 @@ def _sample(
         if products:
             rows = np.array(products) + (origin - first)
             eps_ddot[rows] = _stencils(window, [j * dt for j in products], accel_delta)
-        state = state_at(k - origin)
+        if found is not None or k == steps:
+            state = state_at(k - origin)
+        elif window.method == "krylov":
+            last = block[-1, 0].copy()
         # the chunk's block goes before the next chunk's is made
         del block
-        if window.method != "krylov":
-            window = None
         k += 1
     n = k - first
     return (eps[:n], eps_dot[:n], eps_ddot[:n]), k - 1, state, found
@@ -435,6 +466,8 @@ def compute_trace(
     """
     if t_max <= 0.0 or dt <= 0.0:
         raise ValueError("t_max and dt must be positive")
+    if not math.isfinite(t_max):
+        raise ValueError("t_max must be finite")
     steps = int(round(t_max / dt))
     rows = _sample(initial, h, dt, steps, accel_delta)[0]
     return EntanglementTrace(np.arange(steps + 1) * dt, *rows, model_tag, initial.n_env)

@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qcollapse import cli, collapse, entanglement
+from qcollapse import cli, collapse, core, entanglement
 
 
 def run_cli(*argv):
@@ -271,6 +271,38 @@ def test_invalid_settings_exit_2(tmp_path, capsys, command, setting):
     if setting.startswith("fd_step="):
         # the speed is taken in closed form; there is no finite-difference step
         assert "unknown config key 'fd_step'" in err
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("trace", "t_max=inf"),
+        ("trajectory", "t_max=inf"),
+        ("energy-sweep", "t_max=inf"),
+        ("revival", "g=nan"),
+        ("revival", "g=inf"),
+        ("trace", "g=inf"),
+        ("trace", "sys_theta=nan"),
+        ("trace", "env_theta=inf"),
+    ],
+)
+def test_non_finite_settings_exit_2(tmp_path, capsys, command, setting):
+    # these once escaped as an uncaught OverflowError (t_max), failed later
+    # as a numerical error (exit 3), or ran (g=inf on a model without g)
+    assert run_cli(command, "--set", "n_list=2", "--set", "n=2", "--set", setting,
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{setting.split('=')[0]} must be finite" in err
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_library_rejects_a_non_finite_t_max(t_max):
+    h = core.degenerate_ising(2)
+    psi = core.StateVector.uniform_plus(3)
+    with pytest.raises(ValueError, match="t_max"):
+        entanglement.compute_trace(psi, h, t_max, 0.05)
+    with pytest.raises(ValueError, match="t_max"):
+        collapse.HistoryTree(psi, h, collapse.ThresholdPolicy(0.5, 0.05), t_max)
 
 
 def test_numerical_value_error_exits_3(tmp_path, capsys, monkeypatch):

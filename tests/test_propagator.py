@@ -154,6 +154,53 @@ def test_random_state_trace_runs_several_windows_and_matches_the_fixed_reach_ora
     assert_traces_match_to_roundoff(trace, sample_with_hook(psi, h, 0.02, 150, DELTA, "custom"))
 
 
+def test_lanczos_windows_restart_from_the_last_sample_taken(rng, monkeypatch):
+    # a window keeps only its chunk's last row: where the next chunk does
+    # not converge, the new window starts from that row, built into a
+    # state, at the sample before the failed chunk's first
+    h = core.transverse_coupled(9)
+    psi = random_state(rng, 10)
+    dt, log = 0.02, []
+    init, moments, state_init = (core.Propagator.__init__, core.Propagator.moments,
+                                 core.StateVector.__init__)
+
+    def recording_init(self, state, op):
+        log.append(("window", state))
+        init(self, state, op)
+
+    def recording_moments(self, times, substep=True):
+        out = moments(self, times, substep)
+        log.append(("chunk", round(times[0] / dt), out is None))
+        return out
+
+    built = []
+
+    def counting_states(self, *args, **kwargs):
+        built.append(1)
+        state_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.Propagator, "__init__", recording_init)
+    monkeypatch.setattr(core.Propagator, "moments", recording_moments)
+    monkeypatch.setattr(core.StateVector, "__init__", counting_states)
+    entanglement.compute_trace(psi, h, t_max=3.0, dt=dt)
+    monkeypatch.undo()
+
+    origin, restarts = 0, []
+    for entry, after in zip(log, log[1:]):
+        if entry[0] == "chunk" and entry[2]:
+            assert after[0] == "window"
+            origin += entry[1] - 1
+            restarts.append((origin, after[1]))
+    windows = [entry for entry in log if entry[0] == "window"]
+    assert windows[0][1] is psi and len(restarts) == len(windows) - 1 >= 1
+    # one state per restart and one for the segment's last sample
+    assert len(built) == len(windows)
+    for origin, state in restarts:
+        assert isinstance(state, core.StateVector) and 0 < origin < 150
+        want = core.evolve(psi, h, origin * dt)
+        assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
+
+
 def test_product_state_deep_in_a_window_takes_its_stencil_from_the_window_basis(monkeypatch):
     # the terms of sum_k X0 Xk commute, and each turns every state back into
     # a product state at t = pi/2 (exp(-i pi/2 X0 Xk) = -i X0 Xk).  From a
@@ -214,6 +261,35 @@ def test_moments_equal_applies_on_the_propagated_state(rng, h):
     assert_moments_are_applies(h, out)
 
 
+@pytest.mark.parametrize(
+    "h, levels",
+    [
+        (core.degenerate_ising(6), 7),
+        (core.PauliTermSum([(0.3, "ZII"), (0.5, "IZI"), (0.11, "IIZ"), (0.07, "ZZZ")]), 8),
+    ],
+    ids=["degenerate", "distinct"],
+)
+def test_level_phases_equal_the_per_amplitude_phases_bit_for_bit(rng, h, levels):
+    # the diagonal path takes one phase per offset and distinct level and
+    # gathers it onto the amplitudes; the per-amplitude route takes one per
+    # offset and amplitude, from the same products
+    values, inverse = h.levels()
+    d = h.diagonal()
+    assert values.size == levels and np.array_equal(values[inverse], d)
+    assert not values.flags.writeable and not inverse.flags.writeable
+    psi = random_state(rng, h.num_sites)
+    times = np.concatenate([np.arange(40) * 0.05, [-0.3, 1e-3, 123.456]])
+    prop = core.Propagator(psi, h)
+    out = prop.moments(times)
+    want = np.exp(-1j * np.outer(times, d))[:, None] * (psi.amplitudes * d ** np.arange(3)[:, None])
+    assert np.array_equal(out, want) and out.flags.c_contiguous
+    per_amplitude = np.exp(-1j * (d[:, None] * times))
+    assert np.array_equal(prop.propagate(times), psi.amplitudes[:, None] * per_amplitude)
+    block = np.column_stack([psi.amplitudes, random_state(rng, h.num_sites).amplitudes])
+    assert np.array_equal(core.Propagator(block, h).propagate(times),
+                          block[..., None] * per_amplitude[:, None])
+
+
 def assert_moments_are_applies(h, out):
     for state, h_moment, h2_moment in out:
         h_state = core._apply_terms(h, state)
@@ -254,10 +330,11 @@ def test_steps_beyond_the_lanczos_reach_are_substepped(rng, num_sites, dt):
 
 @pytest.mark.parametrize("num_sites", [7, 10])
 def test_hook_replacing_the_state_sees_every_grid_time_once(num_sites):
-    # the dense path takes 15 samples per chunk at 7 sites, the Lanczos
-    # path 10 at 10 sites: stop in the middle of the first chunk and at
-    # the last sample of the chunk that follows, and resume each time from
-    # a replaced state, as a history tree's child does
+    # a window's first chunk takes 15 samples on the dense path at 7 sites
+    # (the rest of the segment follows in one chunk) and 10 on the Lanczos
+    # path at 10 sites: stop in the middle of the first chunk and where a
+    # second window's first chunk ends, and resume each time from a
+    # replaced state, as a history tree's child does
     h = core.transverse_coupled(num_sites - 1)
     window = math.floor(core._KRYLOV_MAX_REACH / (h.coefficient_scale() * 0.02))
     assert window == {7: 15, 10: 10}[num_sites]
@@ -288,16 +365,12 @@ def test_hook_replacing_the_state_sees_every_grid_time_once(num_sites):
     def hook(t, state, epsilon_dot):
         return fresh if int(round(t / 0.02)) in replace_at else state
 
-    # against the hook loop the segments replaced: bit for bit on the dense
-    # path, to roundoff on the Lanczos path, whose windows outlast the hook
-    # loop's fixed reach; within the stencils' errors against the per-call
-    # route
+    # against the hook loop the segments replaced: to roundoff, since a
+    # segment's window outlasts the hook loop's fixed reach (on the dense
+    # path it serves the whole segment); within the stencils' errors
+    # against the per-call route
     want = sample_with_hook(fresh, h, 0.02, steps, DELTA, "custom", hook)
-    if num_sites == 10:
-        assert_traces_match_to_roundoff(trace, want)
-    else:
-        for name in ("epsilon", "epsilon_dot", "epsilon_ddot"):
-            assert np.array_equal(getattr(trace, name), getattr(want, name))
+    assert_traces_match_to_roundoff(trace, want)
     assert_traces_close(trace, sample_per_call(fresh, h, 0.02, steps, DELTA, "custom", hook))
     # each replacement restarts the clock of the state: the sample after it
     # repeats the first step's values

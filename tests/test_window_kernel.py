@@ -5,8 +5,9 @@ sums and ``entropy_rates`` on one (3, dim) sample at a time.  The window
 kernel (``entanglement._gram`` through ``_window_grams`` and ``_rates``)
 has to equal it bit for bit, at any window length, chunk size and register
 size.  The sampling loop checks the norm of every sample it consumes from
-the Gram diagonal, makes one stencil query per window and builds a state
-only where it hands one out.
+the Gram diagonal, makes one stencil query per chunk, keeps one window
+per segment on the dense and diagonal paths and builds a state only where
+it hands one out.
 """
 
 import math
@@ -99,9 +100,11 @@ def revival_segment():
 
 def test_each_window_makes_one_stencil_query_and_builds_only_its_handouts(monkeypatch):
     tree, root, leaf, child = revival_segment()
-    counts = {"moments": 0, "evolve_times": 0, "states": 0}
-    moments, evolve_times, init = (core.Propagator.moments, core.Propagator.evolve_times,
-                                   core.StateVector.__init__)
+    counts = {"propagators": 0, "moments": 0, "stencils": 0, "states": 0}
+    originals = {"propagators": (core.Propagator, "__init__"),
+                 "moments": (core.Propagator, "moments"),
+                 "stencils": (core.Propagator, "propagate"),
+                 "states": (core.StateVector, "__init__")}
 
     def counting(name, method):
         def wrapped(*args, **kwargs):
@@ -109,9 +112,8 @@ def test_each_window_makes_one_stencil_query_and_builds_only_its_handouts(monkey
             return method(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(core.Propagator, "moments", counting("moments", moments))
-    monkeypatch.setattr(core.Propagator, "evolve_times", counting("evolve_times", evolve_times))
-    monkeypatch.setattr(core.StateVector, "__init__", counting("states", init))
+    for name, (owner, attr) in originals.items():
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
 
     dt = tree.policy.check_interval
     rows, k, state, found = entanglement._sample(child, tree.h, dt, tree.steps, tree.accel_delta,
@@ -120,12 +122,14 @@ def test_each_window_makes_one_stencil_query_and_builds_only_its_handouts(monkey
     assert np.all(rows[0] < entanglement.PRODUCT_ENTROPY)  # every sample a product state
     for got, want in zip(rows, leaf.rows):
         assert np.array_equal(got, want)
-    # 125 samples in windows of floor(4 / (6 * 0.05)) = 13
-    windows = math.ceil((tree.steps - root.k) / 13)
-    assert counts == {"moments": windows, "evolve_times": windows, "states": windows}
+    # 125 samples on the diagonal path from one propagator: a first chunk
+    # of floor(4 / (6 * 0.05)) = 13 samples and the other 112 in one more,
+    # each with one stencil query; one state, the segment's last
+    assert tree.steps - root.k == 125
+    assert counts == {"propagators": 1, "moments": 2, "stencils": 2, "states": 1}
 
     # a stop that asks for the state at every fifth sample gets it built
-    # there, once, besides each window's last sample
+    # there, once, besides the segment's last sample
     asked = []
 
     def stop(t, state, epsilon_dot):
@@ -134,11 +138,10 @@ def test_each_window_makes_one_stencil_query_and_builds_only_its_handouts(monkey
             assert state() is state()
             asked.append(j)
 
-    counts.update(moments=0, evolve_times=0, states=0)
+    counts.update(propagators=0, moments=0, stencils=0, states=0)
     entanglement._sample(child, tree.h, dt, tree.steps, tree.accel_delta, root.k, stop)
-    lasts = {root.k + 13 * w for w in range(1, windows)} | {tree.steps}
-    assert counts == {"moments": windows, "evolve_times": windows,
-                      "states": windows + len(set(asked) - lasts)}
+    assert counts == {"propagators": 1, "moments": 2, "stencils": 2,
+                      "states": 1 + len(set(asked) - {tree.steps})}
 
 
 @pytest.mark.parametrize("bad", [1.0 + 1e-9, math.nan], ids=["drift", "nan"])
@@ -168,3 +171,23 @@ def test_norm_guard_checks_the_consumed_samples_only(monkeypatch, bad):
         assert np.array_equal(got, full[:spoiled])
     # the handed-out state is the stop sample's, renormalized as before
     assert state.norm() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, math.nan], ids=["drift", "nan"])
+def test_norm_guard_checks_every_stencil_column(monkeypatch, bad):
+    # the stencil's columns are not renormalized: each one's norm is read
+    # off its Gram diagonal, as a sample's is
+    h = core.degenerate_ising(3)
+    psi = core.StateVector.uniform_plus(4)  # a product state
+    propagate = core.Propagator.propagate
+
+    def spoiling(self, times):
+        out = propagate(self, times)
+        out[:, -1] *= bad
+        return out
+
+    monkeypatch.setattr(core.Propagator, "propagate", spoiling)
+    with pytest.raises(core.IntegrationError, match="norm"):
+        entanglement.entangling_acceleration(psi, h)
+    with pytest.raises(core.IntegrationError, match="norm"):
+        entanglement.compute_trace(psi, h, t_max=0.1, dt=0.05)

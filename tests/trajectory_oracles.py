@@ -7,20 +7,24 @@
   by a BLAS norm; ``entropy_rates`` took one sample's Gram entries by
   ``inner``'s row sums and its rates in ``math``; ``acceleration`` took a
   product state's one-sided stencil by its own query on the window's
-  propagator.  ``entanglement._sample`` replaced them with one pass per
-  window: the Gram entries of every sample by one chunked kernel
+  propagator, whose columns it takes unnormalized, as
+  ``entanglement._stencils`` does (the entropy is scale-free).
+  ``entanglement._sample`` replaced them with one pass per chunk: the
+  Gram entries of every sample by one chunked kernel
   (``entanglement._gram``), the norm guard from the Gram diagonal, one
-  stencil query per window, and a state built only where it is handed out;
+  stencil query per chunk, and a state built only where it is handed out;
 * ``sample_with_hook``: the windowed sampling loop on that route, with a
   state-substituting hook, ``on_sample(t, state, epsilon_dot)``, run once
   after each sample and returning the state to continue from; a new state
   ended the window.  ``entanglement._sample`` replaced the hook with a
-  start index and a stop predicate.  Its windows keep the fixed-reach
-  rule: a fresh propagator every ``floor(4 / (coefficient_scale() * dt))``
-  samples (``moment_window``), where ``entanglement._sample`` keeps one
-  Lanczos window for as many chunks of that size as its basis converges
-  for, so on the Lanczos path the two agree to roundoff, and bit for bit
-  on the dense and diagonal paths;
+  start index and a stop predicate.  Its windows keep the per-chunk
+  restart rule on every path: a fresh propagator at the last sample's
+  renormalized state every ``floor(4 / (coefficient_scale() * dt))``
+  samples (``moment_window``).  ``entanglement._sample`` keeps one window
+  for a whole segment on the dense and diagonal paths, and one Lanczos
+  window for as many chunks as its basis converges for, so the two agree
+  to roundoff, and exactly wherever a segment ends within its first
+  chunk;
 * ``hook_trajectory``: ``collapse.run_trajectory`` as one run of that loop,
   whose hook found the basis, decomposed, audited the energies and drew
   the outcome at every crossing (any sampler with the same signature, for
@@ -95,11 +99,11 @@ def state_entropy(amps):
 def acceleration(rates, window, t, delta):
     """S'' from ``rates`` at offset ``t`` of the ``window`` propagator, or at
     a product state the one-sided stencil over ``delta``, by one query of
-    its own."""
+    its own on unnormalized columns."""
     entropy, _, curvature = rates
     if entropy >= entanglement.PRODUCT_ENTROPY:
         return curvature
-    e1, e2 = (state_entropy(col) for col in window.evolve_times([t + delta, t + 2.0 * delta]).T)
+    e1, e2 = (state_entropy(col) for col in window.propagate([t + delta, t + 2.0 * delta]).T)
     return (e2 - 2.0 * e1) / delta**2
 
 
