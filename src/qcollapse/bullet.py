@@ -164,6 +164,8 @@ class GridSpec:
     num_points: int = 4001
 
     def __post_init__(self):
+        if not math.isfinite(self.half_width):
+            raise ValueError("half_width must be finite")
         if self.half_width <= 2.0:
             raise ValueError("half_width must exceed the packet's core region")
         if self.num_points < 101:

@@ -221,16 +221,50 @@ def _scan_tensors(amps: np.ndarray, h: core.PauliTermSum, delta: float) -> tuple
 _ROWS = (((0, 1), (1.0, 1.0)), ((1, 0), (1.0, -1.0)))
 
 
-def _fold_form(x: tuple, y: tuple, mat: np.ndarray, degree: int) -> np.ndarray:
-    """Coefficients of ``sum_ij conj(x_i) mat[i, j] y_j`` for two vectors
-    whose entries are ``sign cos^(d-e) sin^e e^{i m phi}``, each vector given
-    as ``(e, sign, m)`` arrays: one row of :func:`_scan_coefficients`,
-    monomial-major, summed term by term in a fixed order."""
-    (ex, sx, mx), (ey, sy, my) = x, y
-    monomial = degree * degree // 4 - 1 + ex[:, None] + ey[None, :]
-    index = (7 * monomial + 3 + my[None, :] - mx[:, None]).ravel()
-    weight = (sx[:, None] * sy[None, :] * mat).ravel()
-    return np.bincount(index, weight.real, 105) + 1j * np.bincount(index, weight.imag, 105)
+# the 14 forms that :func:`_scan_coefficients` folds, per branch: c^2 on
+# rho, beta^H G beta on each Gram block, beta^H G alpha on each Gram block
+# and beta^H C env on each cross block; each occupies its own 105 bins
+# (monomial-major, 15 monomials by 7 harmonics)
+_FORMS, _BINS = 14, 105
+
+
+@functools.cache
+def _fold_plan() -> tuple:
+    """Where every term of :func:`_scan_coefficients`' forms comes from and
+    goes: ``(source, sign, bins)`` over the 584 terms of both branches.
+
+    A form ``sum_ij conj(x_i) mat[i, j] y_j`` of two vectors whose entries
+    are ``sign cos^(d-e) sin^e e^{i m phi}``, each given as ``(e, sign,
+    m)``, adds ``sign_x sign_y mat[i, j]`` to the bin of its monomial ``(d,
+    e_x + e_y)`` and harmonic ``m_y - m_x``; the terms are listed in the
+    C order of ``mat``, so each bin sums its terms in a fixed order.
+    ``source`` indexes the flat concatenation of rho (2, 2), the Gram
+    blocks (2, 8, 8) and the cross blocks (2, 8, 2); ``bins`` counts each
+    form's own 105 bins, form by form.
+    """
+    j = np.arange(8)
+    p, q, s = j >> 2, (j >> 1) & 1, j & 1
+    two = np.arange(2)
+    source, sign, bins = [], [], []
+    for branch in range(2):
+        (ea, sa), (eb, sb) = (map(np.array, _ROWS[k]) for k in (branch, 1 - branch))
+        a = (ea, sa, two)
+        env = (ea, sa, -two)
+        alpha = (ea[p] + ea[q] + ea[s], sa[p] * sa[q] * sa[s], p - q - s)
+        beta = (ea[p] + ea[q] + eb[s], sa[p] * sa[q] * sb[s], p - q - s)
+        forms = ([(a, a, 2, 0)] + [(beta, beta, 6, 4 + 64 * t) for t in range(2)]
+                 + [(beta, alpha, 6, 4 + 64 * t) for t in range(2)]
+                 + [(beta, env, 4, 132 + 16 * t) for t in range(2)])
+        for (ex, sx, mx), (ey, sy, my), degree, start in forms:
+            monomial = degree * degree // 4 - 1 + ex[:, None] + ey[None, :]
+            index = (_BINS * len(bins) + 7 * monomial + 3 + my[None, :] - mx[:, None]).ravel()
+            source.append(start + np.arange(index.size))
+            sign.append((sx[:, None] * sy[None, :]).ravel())
+            bins.append(index)
+    out = tuple(np.concatenate(x) for x in (source, sign, bins))
+    for x in out:
+        x.flags.writeable = False  # every caller shares the cached arrays
+    return out
 
 
 def _scan_coefficients(tensors: tuple) -> np.ndarray:
@@ -249,27 +283,22 @@ def _scan_coefficients(tensors: tuple) -> np.ndarray:
     as ``1/c^2`` after the contraction.  Returns the coefficients as a
     complex (2, 5, 15, 7) array: branch, number (``c^2``, then the two
     Gram forms at delta and 2 delta, then the two overlaps),
-    monomial (:func:`_monomials`) and harmonic ``m + 3``.  No coefficient
-    goes through BLAS, so its bits do not depend on the thread count.
+    monomial (:func:`_monomials`) and harmonic ``m + 3``.
+
+    All 14 forms fold through one cached plan (:func:`_fold_plan`): one
+    gather of the tensors' entries with their signs and one
+    ``np.bincount`` each for the real and the imaginary parts, each form
+    into its own bins; an overlap is then its two forms' sum.  No
+    coefficient goes through BLAS, so its bits do not depend on the
+    thread count.
     """
     rho, grams, crosses = tensors
-    j = np.arange(8)
-    p, q, s = j >> 2, (j >> 1) & 1, j & 1
-    two = np.arange(2)
-    out = []
-    for branch in range(2):
-        (ea, sa), (eb, sb) = (map(np.array, _ROWS[k]) for k in (branch, 1 - branch))
-        a = (ea, sa, two)
-        env = (ea, sa, -two)
-        alpha = (ea[p] + ea[q] + ea[s], sa[p] * sa[q] * sa[s], p - q - s)
-        beta = (ea[p] + ea[q] + eb[s], sa[p] * sa[q] * sb[s], p - q - s)
-        out.append(
-            [_fold_form(a, a, rho, 2)]
-            + [_fold_form(beta, beta, g, 6) for g in grams]
-            + [_fold_form(beta, alpha, g, 6) + _fold_form(beta, env, c, 4)
-               for g, c in zip(grams, crosses)]
-        )
-    return np.array(out).reshape(2, 5, 15, 7)
+    source, sign, bins = _fold_plan()
+    terms = sign * np.concatenate([rho.ravel(), grams.ravel(), crosses.ravel()])[source]
+    forms = (np.bincount(bins, terms.real, _FORMS * _BINS)
+             + 1j * np.bincount(bins, terms.imag, _FORMS * _BINS)).reshape(2, 7, _BINS)
+    numbers = np.concatenate([forms[:, :3], forms[:, 3:5] + forms[:, 5:]], axis=1)
+    return numbers.reshape(2, 5, 15, 7)
 
 
 def _monomials(c, s) -> np.ndarray:
@@ -557,10 +586,12 @@ def scan_collapse_basis(
 
     The state's branch tensors (:func:`_scan_tensors`, eight evolved
     columns) are computed once and folded into one coefficient array
-    (:func:`_scan_coefficients`); the grid and the refine read the
-    landscape from the tensors, so neither evolves anything.  A coarse grid
-    locates the basin.  Grid ties within ``TIE_TOL`` break toward the
-    smallest theta, then the smallest phi, so repeated scans are
+    (:func:`_scan_coefficients`: one gather and two bincounts through the
+    cached plan of :func:`_fold_plan`, which the refine's rotated tensors
+    fold through too); the grid and the refine read the landscape from the
+    tensors, so neither evolves anything.  A coarse grid locates the basin.
+    Grid ties within ``TIE_TOL`` break toward the first tied cell in C
+    order, the smallest theta, then the smallest phi, so repeated scans are
     reproducible.  Newton steps on the landscape's closed-form derivatives
     then polish the minimum (:func:`_newton_refine`), in a frame where the
     best cell lies on the equator, so a minimum on or near a pole is as well
@@ -583,8 +614,8 @@ def scan_collapse_basis(
     vmax = float(values.max())
     flat = (vmax - vmin) < FLAT_LANDSCAPE_TOL
 
-    tie = np.argwhere(values <= vmin + TIE_TOL)
-    ti, pi_ = min((int(i), int(j)) for i, j in tie)  # smallest theta, then phi
+    # the first tied cell in C order: the smallest theta, then phi
+    ti, pi_ = divmod(int(np.flatnonzero(values <= vmin + TIE_TOL)[0]), values.shape[1])
     coarse = (float(thetas[ti]), float(phis[pi_]), float(values[ti, pi_]))
 
     best_theta, best_phi, best_val = coarse
@@ -822,7 +853,13 @@ class HistoryTree:
     energies before and after collapse (ensemble).  A child per outcome
     starts from the collapsed branch and resumes the loop at the next
     sample.  Event times are grid times; no sub-step root polishing is
-    attempted.
+    attempted.  The loop calls the event check only at samples whose speed
+    reaches the threshold.  With ``stencils`` (the default) a product
+    sample's acceleration is the one-sided stencil of
+    :func:`entanglement._sample`; without, it keeps the closed form, +inf
+    at an exact product state, which saves a stencil query per chunk for a
+    caller that reads no acceleration (every other value of every walk is
+    the same, bit for bit).
 
     :meth:`walk` reads one trajectory off the tree, with one draw per
     event; :meth:`final_state` evolves a leaf's state to ``t_max`` once.
@@ -840,6 +877,7 @@ class HistoryTree:
         scan_settings: ScanSettings | None = None,
         accel_delta: float = entanglement.DEFAULT_ACCEL_STEP,
         model_tag: str = "custom",
+        stencils: bool = True,
     ):
         _check_basis_method(basis_method)
         if t_max <= 0.0:
@@ -851,13 +889,15 @@ class HistoryTree:
         self.scan_settings = scan_settings or ScanSettings()
         self.accel_delta = accel_delta
         self.model_tag = model_tag
+        self.stencils = stencils
         self.steps = int(math.ceil(t_max / policy.check_interval - 1e-12))
         self.nodes = 0
         self._root = None
         self._lock = threading.Lock()
 
     def _event_basis(self, t: float, state, epsilon_dot: float):
-        # the sampling loop builds the sample's state only when asked
+        # the sampling loop builds the sample's state only when asked, and
+        # calls this only where the speed reaches the threshold
         if not check_threshold(epsilon_dot, self.policy):
             return None
         basis, _, _ = determine_basis(state(), self.h, self.basis_method, self.scan_settings)
@@ -877,7 +917,8 @@ class HistoryTree:
         else:
             node = _Node(start * dt, state, energy_mod.energy_before(state, self.h))
         node.rows, node.k, psi, node.basis = entanglement._sample(
-            state, self.h, dt, self.steps, self.accel_delta, start, self._event_basis
+            state, self.h, dt, self.steps, self.accel_delta, start, self._event_basis,
+            self.policy.epsilon_dot_threshold, self.stencils,
         )
         if node.basis is not None:
             node.decomp = decompose(psi, node.basis)

@@ -12,9 +12,11 @@ gives the sample's entropy.  At a product state, exactly where collapse
 dynamics operates, the speed is 0 and the acceleration infinite, so there
 the acceleration is the one-sided second difference of the entropies of
 exact short evolutions (:func:`_stencils`), read off unnormalized columns
-through the same kernel.  The sampling loop (:func:`_sample`) makes one pass per chunk of
-samples: one moments query, one kernel call for every sample's rates and
-norm, and one stencil query for its product states.  A window, one
+through the same kernel.  The sampling loop (:func:`_sample`) makes one
+pass per chunk of samples: one moments query, one kernel call for every
+sample's Gram entries, array passes for the norm guard and the
+exact-product test, the scalar rates only where the state is entangled,
+and one stencil query for its product states.  A window, one
 propagator at one state, serves a whole segment on the dense and diagonal
 paths, and on the Lanczos path as many chunks as its basis converges for.
 """
@@ -164,15 +166,20 @@ def _rescaled(values: np.ndarray, peak: float) -> np.ndarray:
     return np.ldexp(values.view(np.float64), -np.frexp(peak)[1]).view(complex)
 
 
-def _window_grams(block: np.ndarray) -> list:
+def _grams(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gram entries that :func:`_rates` reads, for every sample of a
-    (k, 3, dim) :meth:`core.Propagator.moments` block, by two
-    :func:`_gram` calls: per sample ``(g, hh)`` as nested lists, ``g[r][i]
-    = <m_i, row_r>`` over the six rows ``m0, m1, (H psi)0, 1, (H^2 psi)0,
-    1`` and ``hh[r][i] = <(H psi)_i, (H psi)_r>``."""
+    (k, 3, dim) :meth:`core.Propagator.moments` block, by two :func:`_gram`
+    calls: ``g[s, r, i] = <m_i, row_r>`` over the six rows ``m0, m1, (H
+    psi)0, 1, (H^2 psi)0, 1`` of sample s, a (k, 6, 2) array, and ``hh[s,
+    r, i] = <(H psi)_i, (H psi)_r>``, a (k, 2, 2) array."""
     rows = block.reshape(block.shape[0], 6, -1)
-    return list(zip(_gram(rows, rows[:, :2]).tolist(),
-                    _gram(rows[:, 2:4], rows[:, 2:4]).tolist()))
+    return _gram(rows, rows[:, :2]), _gram(rows[:, 2:4], rows[:, 2:4])
+
+
+def _window_grams(block: np.ndarray) -> list:
+    """:func:`_grams` per sample, as nested lists ``(g, hh)``."""
+    g, hh = _grams(block)
+    return list(zip(g.tolist(), hh.tolist()))
 
 
 def _rates(g: list, hh: list) -> tuple[float, float, float]:
@@ -200,7 +207,8 @@ def _rates(g: list, hh: list) -> tuple[float, float, float]:
     if not _GRAM_RANGE[0] <= trace <= _GRAM_RANGE[1]:
         g, hh = (_rescaled(np.array(x), trace).tolist() for x in (g, hh))
     rho = (g[0][0].real, g[1][1].real, g[0][1])
-    d = _det(rho)
+    norm2 = (rho[0] + rho[1]) ** 2  # D and its derivatives are quadratic in psi
+    d = 0.5 * _pair(rho, rho) / norm2  # _det(rho)
     if not d > 0.0:
         return 0.0, 0.0, math.inf
     rho1 = (2.0 * g[2][0].imag, 2.0 * g[3][1].imag, 1j * (g[3][0].conjugate() - g[2][1]))
@@ -209,7 +217,6 @@ def _rates(g: list, hh: list) -> tuple[float, float, float]:
         2.0 * (hh[1][1] - g[5][1]).real,
         2.0 * hh[0][1] - g[4][1] - g[5][0].conjugate(),
     )
-    norm2 = (rho[0] + rho[1]) ** 2  # D and its derivatives are quadratic in psi
     d1 = _pair(rho, rho1) / norm2
     d2 = (_pair(rho, rho2) + _pair(rho1, rho1)) / norm2
     s = math.sqrt(max(1.0 - 4.0 * d, 0.0))
@@ -333,6 +340,9 @@ def _unit_scale(units: str) -> float:
     raise ValueError(f"unknown entropy units {units!r}")
 
 
+# what _rates gives an exact product state (D <= 0): S, S' and S''
+_PRODUCT_RATES = np.array([[0.0], [0.0], [math.inf]])
+
 # bytes of the (k, 3, dim) moments block of a chunk after a window's
 # first on the dense and diagonal paths, which are exact at any offset: a
 # 7-site segment of 150 samples takes 0.9 MB, while from 13 sites up a
@@ -348,6 +358,8 @@ def _sample(
     accel_delta: float,
     start: int | None = None,
     stop=None,
+    threshold: float = -math.inf,
+    stencils: bool = True,
 ) -> tuple:
     """The one sampling loop behind :func:`compute_trace` and
     :class:`collapse.HistoryTree`.
@@ -369,23 +381,30 @@ def _sample(
     grown only as far as each chunk needs, and a new window starts at the
     last sample taken only when the basis does not converge for a chunk
     within ``core._KRYLOV_MAX_VECTORS`` vectors; the first chunk of a
-    window substeps offsets beyond the basis like any evolution.  Then,
-    sample by sample and in order, the norm of the sample's state (``g00 +
-    g11``) is checked: a drift beyond 1e-10, a NaN included, raises
-    :class:`core.IntegrationError`.  The sample's rates come from
-    :func:`_rates`, and ``stop(t, state, epsilon_dot)`` runs on them; a
-    result other than None ends the segment there.  ``state`` is a
+    window substeps offsets beyond the basis like any evolution.
+
+    Each chunk is checked in array passes over its Gram entries: the norm
+    of every sample's state (``g00 + g11``), where a drift beyond 1e-10, a
+    NaN included, raises :class:`core.IntegrationError` at the first bad
+    sample, and the exact-product test D <= 0, whose samples take 0, 0 and
+    +inf as :func:`_rates` gives them.  The scalar :func:`_rates` runs, in
+    order, only on the samples of positive D before the first bad one.
+    ``stop(t, state, epsilon_dot)`` runs, in order, at the samples whose
+    speed is at least ``threshold`` (every sample by default), and a result
+    other than None ends the segment there: a bad sample after the stop
+    raises nothing, and the samples after it are not used.  ``state`` is a
     zero-argument callable that builds the sample's
-    :class:`core.StateVector` (renormalized) when asked.  The samples after
-    the stop sample are neither checked nor used.  The chunk's product
-    states (entropy below ``PRODUCT_ENTROPY``) up to there take their
-    accelerations from the one-sided stencil (:func:`_stencils`), all in
-    one query on the window's propagator, which on the Lanczos path its
-    basis answers wherever in the window they lie.  A state is built only
-    where it is handed out: to ``stop`` when it asks, at the segment's
-    last sample, and, on the Lanczos path, at the last sample before a
-    chunk that does not converge, whose state starts the next window (of
-    each chunk only that row is kept).
+    :class:`core.StateVector` (renormalized) when asked.  With
+    ``stencils``, the chunk's product states (entropy below
+    ``PRODUCT_ENTROPY``) up to the stop take their accelerations from the
+    one-sided stencil (:func:`_stencils`), all in one query on the
+    window's propagator, which on the Lanczos path its basis answers
+    wherever in the window they lie; without, they keep the closed form
+    (+inf at D <= 0).  A state is built only where it is handed out: to
+    ``stop`` when it asks, at the segment's last sample, and, on the
+    Lanczos path, at the last sample before a chunk that does not
+    converge, whose state starts the next window (of each chunk only that
+    row is kept).
 
     Returns ``(rows, k, state, found)``: the entropy, speed and
     acceleration arrays of the samples taken, the last sample's index and
@@ -394,10 +413,14 @@ def _sample(
     """
     _check_accel_step(accel_delta)
     first = 0 if start is None else start + 1
-    eps, eps_dot, eps_ddot = (np.empty(max(steps + 1 - first, 0)) for _ in range(3))
+    out = np.empty((3, max(steps + 1 - first, 0)))  # entropy, speed, acceleration
     reach = h.coefficient_scale() * dt
     span = max(1, math.floor(core._KRYLOV_MAX_REACH / reach)) if reach > 0.0 else math.inf
     wide = max(span, _CHUNK_BYTES // (48 * h.dim))  # further chunks, exact paths
+    # a product sample's speed is 0, so a stop whose threshold is at most 0
+    # runs there too: the tail then visits every sample (_rates gives a
+    # product sample the same 0, 0, +inf)
+    every = stop is not None and not threshold > 0.0
     k, found, window, last = first, None, None, None  # k is the next sample
     while k <= steps and found is None:
         block = None
@@ -423,23 +446,40 @@ def _sample(
                 built[j] = core.StateVector(core._unit_columns(block[j - offsets.start, 0]))
             return built[j]
 
-        products = []  # offsets of the product states up to the stop
-        for j, (g, hh) in zip(offsets, _window_grams(block)):
-            norm = math.sqrt(g[0][0].real + g[1][1].real)
-            if not abs(norm - 1.0) <= 1e-10:
-                raise core.IntegrationError(f"evolution drifted the norm to {norm:.12g}")
-            k = origin + j
-            i = k - first
-            eps[i], eps_dot[i], eps_ddot[i] = _rates(g, hh)
-            if eps[i] < PRODUCT_ENTROPY:
-                products.append(j)
-            if stop is not None:
-                found = stop(k * dt, partial(state_at, j), eps_dot[i])
+        g, hh = _grams(block)
+        parts = g.view(float)  # g00, g11 and g01 are rho's r00, r11 and r01
+        r00, r11, re01, im01 = parts[:, 0, 0], parts[:, 1, 2], parts[:, 0, 2], parts[:, 0, 3]
+        norms = np.sqrt(r00 + r11)
+        held = np.abs(norms - 1.0) <= 1e-10  # a NaN drifts
+        end = int(held.argmin())  # the first bad sample, if any
+        if held[end]:
+            end = len(offsets)
+        # _rates returns early unless D > 0, and before the first bad sample
+        # D's sign is that of _pair(rho, rho) = 2 (r00 r11 - |r01|^2), which
+        # this comparison of the same rounded products gives exactly
+        live = r00 * r11 > re01 * re01 + im01 * im01
+        lo = origin + offsets.start - first
+        ent, speed, accel = rates = out[:, lo:lo + len(offsets)]
+        visit = np.arange(end) if every else live[:end].nonzero()[0]
+        if visit.size < len(offsets):  # some sample is a product state, or bad
+            rates[:] = _PRODUCT_RATES
+            g, hh = g[visit], hh[visit]
+        taken = end
+        for i, gi, hi in zip(visit.tolist(), g.tolist(), hh.tolist()):
+            ent[i], speed[i], accel[i] = _rates(gi, hi)
+            if stop is not None and speed[i] >= threshold:
+                found = stop((origin + offsets[i]) * dt, partial(state_at, offsets[i]), speed[i])
                 if found is not None:
+                    taken = i + 1
                     break
-        if products:
-            rows = np.array(products) + (origin - first)
-            eps_ddot[rows] = _stencils(window, [j * dt for j in products], accel_delta)
+        if found is None and end < len(offsets):
+            raise core.IntegrationError(f"evolution drifted the norm to {norms[end]:.12g}")
+        k = origin + offsets[taken - 1]
+        if stencils:
+            products = (ent[:taken] < PRODUCT_ENTROPY).nonzero()[0]
+            if products.size:
+                times = [j * dt for j in (products + offsets.start).tolist()]
+                accel[products] = _stencils(window, times, accel_delta)
         if found is not None or k == steps:
             state = state_at(k - origin)
         elif window.method == "krylov":
@@ -447,8 +487,7 @@ def _sample(
         # the chunk's block goes before the next chunk's is made
         del block
         k += 1
-    n = k - first
-    return (eps[:n], eps_dot[:n], eps_ddot[:n]), k - 1, state, found
+    return tuple(out[:, :k - first]), k - 1, state, found
 
 
 def compute_trace(

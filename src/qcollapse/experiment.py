@@ -95,7 +95,13 @@ def revival_tree(
     scan_settings: collapse.ScanSettings | None = None,
 ) -> collapse.HistoryTree:
     """The trajectories of the uniform-coupling model from |+>^(N+1) to the
-    revival time, as one :class:`collapse.HistoryTree`."""
+    revival time, as one :class:`collapse.HistoryTree`.
+
+    Its consumers (:func:`revival_protocol`, :func:`critical_n_sweep`) read
+    the speed, the events, the draws and the leaves' final states, never
+    the acceleration, so the tree takes no product-state stencils: every
+    sample after a collapse is an exact product state here, whose
+    acceleration stays the closed form's +inf."""
     return collapse.HistoryTree(
         core.StateVector.uniform_plus(n_env + 1),
         core.degenerate_ising(n_env, g),
@@ -104,6 +110,7 @@ def revival_tree(
         basis_method,
         scan_settings,
         model_tag="degenerate_ising",
+        stencils=False,
     )
 
 

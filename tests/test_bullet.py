@@ -146,6 +146,13 @@ def test_params_validation():
         bullet.BulletParams(velocity_m_s=math.inf)
 
 
+@pytest.mark.parametrize("half_width", [math.inf, math.nan])
+def test_grid_rejects_a_non_finite_half_width(half_width):
+    # both once passed the `half_width <= 2` check and failed in the solver
+    with pytest.raises(ValueError, match="half_width must be finite"):
+        bullet.GridSpec(half_width=half_width)
+
+
 def test_slope_scales_quadratically_with_mass():
     p1 = bullet.BulletParams()
     a_fixed = p1.half_side_m

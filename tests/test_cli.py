@@ -284,15 +284,20 @@ def test_invalid_settings_exit_2(tmp_path, capsys, command, setting):
         ("trace", "g=inf"),
         ("trace", "sys_theta=nan"),
         ("trace", "env_theta=inf"),
+        ("bullet", "grid_half_width=inf"),
+        ("bullet", "grid_half_width=nan"),
     ],
 )
 def test_non_finite_settings_exit_2(tmp_path, capsys, command, setting):
     # these once escaped as an uncaught OverflowError (t_max), failed later
-    # as a numerical error (exit 3), or ran (g=inf on a model without g)
+    # as a numerical error (exit 3: grid_half_width), or ran (g=inf on a
+    # model without g)
     assert run_cli(command, "--set", "n_list=2", "--set", "n=2", "--set", setting,
                    "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and f"{setting.split('=')[0]} must be finite" in err
+    # the grid's own check names its field, half_width
+    name = setting.split("=")[0].removeprefix("grid_")
+    assert "config error" in err and f"{name} must be finite" in err
 
 
 @pytest.mark.parametrize("t_max", [math.inf, math.nan])

@@ -12,17 +12,20 @@ and draw (the test names keep their old ids).  A walk equals
 ``run_trajectory`` bit for bit everywhere.  A leaf's final state has to
 equal the replay bit for bit on the diagonal model and to roundoff on
 ``transverse_coupled``, whose collapsed states come from windowed moments
-where the replay evolves each stretch in one step.
+where the replay evolves each stretch in one step.  A revival tree,
+which takes no product-state stencils, has to walk as a tree with them
+does, bit for bit, but for the acceleration of its product rows.
 """
 
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from qcollapse import cli, collapse, core, experiment
+from qcollapse import cli, collapse, core, entanglement, experiment
 from trajectory_oracles import hook_trajectory, replay_final_state
 
 REVIVAL_POLICY = collapse.ThresholdPolicy(0.5, 0.05)
@@ -145,6 +148,30 @@ def test_revival_report_equals_the_replay_route():
     assert report.fidelity_at_revival == float(np.mean(fidelities))
     assert report.p_minus == float(np.mean(p_minus))
     assert report.collapse_events_before_revival == float(np.mean(counts))
+
+
+@pytest.mark.parametrize("n_env", [4, 6])
+def test_revival_tree_walks_equal_a_tree_with_stencils(n_env):
+    # revival_tree takes no product-state stencils: every walk has to equal
+    # the walk of a tree with them, bit for bit, but for the acceleration of
+    # product rows (every sample after the collapse), which keeps +inf
+    lean = experiment.revival_tree(n_env, 1.0, REVIVAL_POLICY)
+    full = collapse.HistoryTree(*revival_case(n_env), model_tag="degenerate_ising")
+    assert (lean.stencils, full.stencils) == (False, True)
+    for seed in revival_seeds(7, 8) + list(range(8)):
+        (trace, events, leaf), (want, want_events, want_leaf) = lean.walk(seed), full.walk(seed)
+        for name in ("times", "epsilon", "epsilon_dot"):
+            assert np.array_equal(getattr(trace, name), getattr(want, name)), name
+        # times, bases, Born weights, outcomes, energies and draws
+        assert collapse.events_to_jsonl(events, seed) == collapse.events_to_jsonl(want_events, seed)
+        assert np.array_equal(lean.final_state(leaf).amplitudes,
+                              full.final_state(want_leaf).amplitudes)
+        product = want.epsilon < entanglement.PRODUCT_ENTROPY
+        assert product.sum() > len(trace) // 2
+        differ = trace.epsilon_ddot != want.epsilon_ddot
+        assert np.array_equal(differ, product)
+        assert np.all(trace.epsilon_ddot[product] == math.inf)
+    assert lean.nodes == full.nodes == 3
 
 
 def test_revival_rejects_a_tree_with_other_settings():

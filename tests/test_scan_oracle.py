@@ -18,7 +18,13 @@ from it.  They are held here to independent routes:
 * central differences of ``collapse._scan_point`` for the closed-form
   gradient and Hessian;
 * scipy's Nelder-Mead, the refine the Newton iteration replaced, copied in
-  as ``nelder_mead_scan`` with its call and options unchanged.
+  as ``nelder_mead_scan`` with its call and options unchanged;
+* the per-form fold that ``collapse._fold_plan``'s one gather replaced,
+  copied in as ``oracle_scan_coefficients``: one pair of bincounts per form
+  and per branch, each overlap the sum of its two forms' results; the plan
+  has to equal it bit for bit;
+* ``min`` over ``np.argwhere`` of the tied cells, the grid tie rule the
+  first tied cell in C order replaced.
 """
 
 import math
@@ -119,6 +125,40 @@ def einsum_grid(amps, h, thetas, phis, delta, tensors=None):
     s = np.maximum(s - (1.0 - lam) * np.log1p(-lam), 0.0)
     acc = np.where(live, c2 * (s[1] - 2.0 * s[0]) / delta**2, 0.0)
     return acc[: thetas.size] + acc[thetas.size :]
+
+
+def fold_form(x, y, mat, degree):
+    """Coefficients of ``sum_ij conj(x_i) mat[i, j] y_j`` for two vectors
+    whose entries are ``sign cos^(d-e) sin^e e^{i m phi}``, each vector given
+    as ``(e, sign, m)`` arrays: one row of the coefficients,
+    monomial-major, summed term by term in a fixed order."""
+    (ex, sx, mx), (ey, sy, my) = x, y
+    monomial = degree * degree // 4 - 1 + ex[:, None] + ey[None, :]
+    index = (7 * monomial + 3 + my[None, :] - mx[:, None]).ravel()
+    weight = (sx[:, None] * sy[None, :] * mat).ravel()
+    return np.bincount(index, weight.real, 105) + 1j * np.bincount(index, weight.imag, 105)
+
+
+def oracle_scan_coefficients(tensors):
+    """``collapse._scan_coefficients`` by 14 :func:`fold_form` calls."""
+    rho, grams, crosses = tensors
+    j = np.arange(8)
+    p, q, s = j >> 2, (j >> 1) & 1, j & 1
+    two = np.arange(2)
+    out = []
+    for branch in range(2):
+        (ea, sa), (eb, sb) = (map(np.array, collapse._ROWS[k]) for k in (branch, 1 - branch))
+        a = (ea, sa, two)
+        env = (ea, sa, -two)
+        alpha = (ea[p] + ea[q] + ea[s], sa[p] * sa[q] * sa[s], p - q - s)
+        beta = (ea[p] + ea[q] + eb[s], sa[p] * sa[q] * sb[s], p - q - s)
+        out.append(
+            [fold_form(a, a, rho, 2)]
+            + [fold_form(beta, beta, g, 6) for g in grams]
+            + [fold_form(beta, alpha, g, 6) + fold_form(beta, env, c, 4)
+               for g, c in zip(grams, crosses)]
+        )
+    return np.array(out).reshape(2, 5, 15, 7)
 
 
 def nelder_mead_scan(psi, h, settings=None):
@@ -530,3 +570,59 @@ def test_refine_at_an_exact_minimum_keeps_the_cell():
     assert (basis.theta, basis.phi) == report.coarse_minimum[:2] == (0.0, 0.0)
     assert report.minimum == report.coarse_minimum
     assert report.nm_evaluations == 1
+
+
+# ---------------------------------------------------------------------------
+# the fold plan and the grid tie rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sites", range(2, 10))
+def test_fold_plan_equals_the_per_form_fold_bit_for_bit(rng, sites):
+    # a random state, and one whose system qubit is |0>, so that the scan
+    # skips its zero branch columns; in the scan's frame and in the
+    # refine's rotated frames (one at a pole, one off the axes)
+    h = core.transverse_coupled(sites - 1)
+    zero = random_state(rng, sites).amplitudes.copy()
+    zero.reshape(2, -1)[1] = 0.0
+    for amps in (random_state(rng, sites).amplitudes, zero / np.linalg.norm(zero)):
+        tensors = collapse._scan_tensors(amps, h, DELTA)
+        frames = [tensors] + [
+            collapse._rotated_tensors(tensors, collapse._equator_frame(collapse.CandidateBasis(*c)))
+            for c in ((0.0, 0.0), (1.1, 4.0))
+        ]
+        for frame in frames:
+            got = collapse._scan_coefficients(frame)
+            assert got.shape == (2, 5, 15, 7)
+            assert got.tobytes() == oracle_scan_coefficients(frame).tobytes()
+
+
+def argwhere_tie(values):
+    tie = np.argwhere(values <= float(values.min()) + collapse.TIE_TOL)
+    return min((int(i), int(j)) for i, j in tie), len(tie)
+
+
+def test_grid_tie_rule_picks_the_cell_of_min_over_argwhere(monkeypatch):
+    # the Z basis minimizes the uniform-coupling landscape, and every phi of
+    # a pole row is that basis: both pole rows tie
+    h = core.degenerate_ising(4, 1.0)
+    psi = core.evolve(core.StateVector.uniform_plus(5), h, 0.3)
+    _, report = collapse.scan_collapse_basis(psi, h)
+    values = report.mean_accelerations
+    (ti, pj), ties = argwhere_tie(values)
+    assert ties >= 2 * values.shape[1]
+    assert report.coarse_minimum == (float(report.theta_values[ti]),
+                                     float(report.phi_values[pj]), float(values[ti, pj]))
+
+    # landscapes whose first tie lies off the first row and column, with
+    # ties later in its row and in later rows, within TIE_TOL of the minimum
+    rng = np.random.default_rng(5)
+    for first in ((3, 4), (0, 5), (6, 0)):
+        landscape = rng.uniform(1.0, 2.0, size=(8, 8))
+        for i, j in (first, (first[0], first[1] + 2), (7, 1), (first[0] + 1, 0)):
+            landscape[i, j] = -1.0 + 0.5 * collapse.TIE_TOL * rng.uniform()
+        monkeypatch.setattr(collapse, "_scan_grid", lambda *args, v=landscape: v)
+        _, report = collapse.scan_collapse_basis(psi, h, collapse.ScanSettings(8, 8, refine=False))
+        assert argwhere_tie(landscape) == (first, 4)
+        assert report.coarse_minimum[:2] == (float(report.theta_values[first[0]]),
+                                             float(report.phi_values[first[1]]))

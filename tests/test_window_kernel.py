@@ -7,7 +7,11 @@ has to equal it bit for bit, at any window length, chunk size and register
 size.  The sampling loop checks the norm of every sample it consumes from
 the Gram diagonal, makes one stencil query per chunk, keeps one window
 per segment on the dense and diagonal paths and builds a state only where
-it hands one out.
+it hands one out.  Its array passes over a chunk (the norm guard, the
+exact-product test) run the scalar tail only on samples of positive D and
+the stop only where the speed reaches its threshold, and have to return
+what the per-sample loop returned: the stop at the same samples, the same
+rows, and a norm error at the first bad sample before the stop.
 """
 
 import math
@@ -191,3 +195,93 @@ def test_norm_guard_checks_every_stencil_column(monkeypatch, bad):
         entanglement.entangling_acceleration(psi, h)
     with pytest.raises(core.IntegrationError, match="norm"):
         entanglement.compute_trace(psi, h, t_max=0.1, dt=0.05)
+
+
+# ---------------------------------------------------------------------------
+# the chunk tail: where the stop runs, and the first bad sample
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_sites", [5, 7, 10])
+def test_stop_runs_exactly_where_the_speed_reaches_the_threshold(num_sites):
+    # a near-product start: its speed rises through the threshold and its
+    # first sample is a product state; one chunk on the dense path at 5 and
+    # 7 sites, several Lanczos chunks at 10
+    h = core.transverse_coupled(num_sites - 1)
+    psi = core.StateVector.from_site_states(
+        [core.spin_state(1.55, 0.0)] + [core.spin_state(1.6, 0.0)] * (num_sites - 1))
+    dt, steps = 0.02, 40
+    want = entanglement._sample(psi, h, dt, steps, DELTA)[0]
+    threshold = float(np.quantile(want[1], 0.6))
+    hits = np.flatnonzero(want[1] >= threshold).tolist()
+    assert 0 < len(hits) < steps and want[0][0] < entanglement.PRODUCT_ENTROPY
+    seen = []
+
+    def record(t, state, epsilon_dot):
+        seen.append((int(round(t / dt)), t, epsilon_dot))
+
+    rows, k, _, found = entanglement._sample(psi, h, dt, steps, DELTA, stop=record,
+                                             threshold=threshold)
+    assert (k, found) == (steps, None)
+    assert seen == [(j, j * dt, want[1][j]) for j in hits]
+    for got, full in zip(rows, want):
+        assert np.array_equal(got, full)
+
+    # a stop that ends the segment at its third call, and the rows up to it
+    def third(t, state, epsilon_dot):
+        seen.append(t)
+        return "stop" if len(seen) == 3 else None
+
+    seen = []
+    rows, k, state, found = entanglement._sample(psi, h, dt, steps, DELTA, stop=third,
+                                                 threshold=threshold)
+    assert (k, found) == (hits[2], "stop")
+    for got, full in zip(rows, want):
+        assert np.array_equal(got, full[:k + 1])
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, math.nan], ids=["drift", "nan"])
+def test_norm_error_names_the_first_bad_sample_before_the_stop(monkeypatch, bad):
+    # two spoiled samples in one chunk before a stop: the error comes from
+    # the first, whatever the second holds, and a stop after them (where
+    # the speed reaches the threshold) does not save the chunk
+    h = core.transverse_coupled(4)
+    psi = core.StateVector.uniform_plus(5)
+    dt, steps = 0.02, 8
+    speeds = entanglement._sample(psi, h, dt, steps, DELTA)[0][1]
+    moments = core.Propagator.moments
+
+    def spoiling(self, times):
+        block = moments(self, times)
+        block[4] *= bad
+        block[6] *= 2.0
+        return block
+
+    def stop_last(t, state, epsilon_dot):
+        return "stop" if round(t / dt) == steps else None
+
+    monkeypatch.setattr(core.Propagator, "moments", spoiling)
+    want = "nan" if math.isnan(bad) else "1.000000001"
+    for threshold in (-math.inf, float(speeds[steps])):
+        with pytest.raises(core.IntegrationError, match=f"norm to {want}$"):
+            entanglement._sample(psi, h, dt, steps, DELTA, stop=stop_last, threshold=threshold)
+
+
+def test_without_stencils_only_product_accelerations_change():
+    # a product start on the diagonal path, where D = 0 exactly and the
+    # closed form is +inf, and a near-product one, where the first sample's
+    # entropy is below PRODUCT_ENTROPY but D > 0 and the closed form finite
+    cases = [(core.StateVector.uniform_plus(5), core.degenerate_ising(4), math.inf),
+             (core.StateVector.from_site_states(
+                 [core.spin_state(1.55, 0.0)] + [core.spin_state(1.6, 0.0)] * 4),
+              core.transverse_coupled(4), 304.6)]
+    for psi, h, closed_form in cases:
+        full = entanglement._sample(psi, h, 0.02, 30, DELTA)[0]
+        lean = entanglement._sample(psi, h, 0.02, 30, DELTA, stencils=False)[0]
+        for got, want in zip(lean[:2], full[:2]):
+            assert np.array_equal(got, want)
+        product = full[0] < entanglement.PRODUCT_ENTROPY
+        assert product[0]
+        assert np.array_equal(lean[2][~product], full[2][~product])
+        assert lean[2][0] == pytest.approx(closed_form, rel=1e-4)
+        assert np.all(lean[2][product] != full[2][product])
